@@ -29,7 +29,8 @@ use bench::cli::{BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use llm_model::LLM_7B_32K;
 use pim_compiler::ParallelConfig;
 use system::{
-    Cluster, Evaluator, PrefillConfig, RouterKind, SchedulingPolicy, SystemConfig, Techniques,
+    Cluster, Evaluator, PolicySpec, PrefillConfig, RouterKind, SchedulingPolicy, SystemConfig,
+    Techniques,
 };
 use workload::{Dataset, TraceBuilder};
 
@@ -80,11 +81,15 @@ fn main() {
         // Closed-world capacity anchors this rung's rate axis: requests
         // per second the cluster can serve (prefill included unless
         // --decode-only).
-        let eval = if decode_only {
-            Evaluator::new(sys, model, tech)
+        let prefill = if decode_only {
+            PrefillConfig::disabled()
         } else {
-            Evaluator::new(sys, model, tech).with_chunked_prefill(PREFILL_CHUNK)
+            PrefillConfig::chunked(PREFILL_CHUNK)
         };
+        let eval = Evaluator::new(sys, model, tech).with_policies(PolicySpec {
+            prefill,
+            ..PolicySpec::default()
+        });
         let closed_trace = TraceBuilder::new(dataset)
             .seed(SEED)
             .requests(requests)

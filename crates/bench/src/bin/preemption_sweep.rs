@@ -15,8 +15,8 @@
 //! work), `EvictPause` keeps its tokens and re-prefills prompt+tokens
 //! as an extended prompt on resume (wasted prompt work only).
 //!
-//! KV pressure is dialed in with `Evaluator::with_kv_capacity_factor`
-//! (a fraction of the hardware KV pool), which shrinks how many
+//! KV pressure is dialed in with the `kv_capacity_factor` policy (a
+//! fraction of the hardware KV pool), which shrinks how many
 //! worst-case reservations fit concurrently without re-sizing the
 //! system. The offered rate is anchored on the full-capacity
 //! closed-world (prefill-inclusive) capacity, so rows are comparable
@@ -123,7 +123,10 @@ fn main() {
     // Rate axis: the full-capacity closed-world (prefill-inclusive)
     // wave capacity, shared by every row so capacity factors compare.
     let eval_anchor =
-        Evaluator::new(sys, model, Techniques::pimphony()).with_chunked_prefill(PREFILL_CHUNK);
+        Evaluator::new(sys, model, Techniques::pimphony()).with_policies(PolicySpec {
+            prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+            ..PolicySpec::default()
+        });
     let closed_trace = TraceBuilder::new(Dataset::QmSum)
         .seed(SEED)
         .requests(requests)
@@ -160,10 +163,13 @@ fn main() {
             );
             let mut none_hi = 0.0f64;
             for policy in PreemptionPolicy::ALL {
-                let eval = Evaluator::new(sys, model, Techniques::pimphony())
-                    .with_chunked_prefill(PREFILL_CHUNK)
-                    .with_kv_capacity_factor(factor)
-                    .with_preemption(policy);
+                let eval =
+                    Evaluator::new(sys, model, Techniques::pimphony()).with_policies(PolicySpec {
+                        preemption: policy,
+                        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+                        kv_capacity_factor: factor,
+                        ..PolicySpec::default()
+                    });
                 let r = Cluster::new(&eval, SchedulingPolicy::Continuous)
                     .with_threads(0)
                     .run(&trace, RouterKind::JoinShortestQueue.build().as_mut());

@@ -27,7 +27,8 @@ use bench::cli::{BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use llm_model::LLM_7B_32K;
 use pim_compiler::ParallelConfig;
 use system::{
-    Cluster, Evaluator, PrefillConfig, RouterKind, SchedulingPolicy, SystemConfig, Techniques,
+    Cluster, Evaluator, PolicySpec, PrefillConfig, RouterKind, SchedulingPolicy, SystemConfig,
+    Techniques,
 };
 use workload::{Dataset, DatasetStats, Trace, TraceBuilder};
 
@@ -108,7 +109,10 @@ fn main() {
     for &factor in factors {
         let stats = scaled_stats(factor);
         let eval_pf =
-            Evaluator::new(sys, model, Techniques::pimphony()).with_chunked_prefill(DEFAULT_CHUNK);
+            Evaluator::new(sys, model, Techniques::pimphony()).with_policies(PolicySpec {
+                prefill: PrefillConfig::chunked(DEFAULT_CHUNK),
+                ..PolicySpec::default()
+            });
         let eval_decode = Evaluator::new(sys, model, Techniques::pimphony());
         let rate = capacity_rps(&eval_pf, stats, requests) * LOAD_FRACTION;
         let trace = build_trace(stats, requests, rate);
@@ -155,7 +159,10 @@ fn main() {
     );
     let stats = scaled_stats(1.0);
     for &chunk in chunks {
-        let eval = Evaluator::new(sys, model, Techniques::pimphony()).with_chunked_prefill(chunk);
+        let eval = Evaluator::new(sys, model, Techniques::pimphony()).with_policies(PolicySpec {
+            prefill: PrefillConfig::chunked(chunk),
+            ..PolicySpec::default()
+        });
         let rate = capacity_rps(&eval, stats, requests) * LOAD_FRACTION;
         let trace = build_trace(stats, requests, rate);
         let r = Cluster::new(&eval, SchedulingPolicy::Continuous)

@@ -36,8 +36,8 @@ use llm_model::LLM_7B_32K;
 use pim_compiler::ParallelConfig;
 use std::time::Instant;
 use system::{
-    jain_fairness, Cluster, Evaluator, PrefillConfig, RouterKind, SchedulingPolicy, ServingReport,
-    SystemConfig, Techniques,
+    jain_fairness, Cluster, Evaluator, PolicySpec, PrefillConfig, RouterKind, SchedulingPolicy,
+    ServingReport, SystemConfig, Techniques,
 };
 use workload::{Dataset, Trace, TraceBuilder};
 
@@ -203,8 +203,10 @@ fn main() {
     // is measured from the closed-world wave run on the same trace
     // shape, and the offered rate sits just past it so the tail story
     // stays comparable.
-    let eval_pf =
-        Evaluator::new(sys, model, Techniques::pimphony()).with_chunked_prefill(PREFILL_CHUNK);
+    let eval_pf = Evaluator::new(sys, model, Techniques::pimphony()).with_policies(PolicySpec {
+        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+        ..PolicySpec::default()
+    });
     let (_, capacity_rps) =
         bench::closed_world_capacity(&eval_pf, &bursty_trace(requests, rate, cv));
     let rate_pf = capacity_rps * 1.2;

@@ -24,7 +24,7 @@
 use bench::cli::{file_stem, BenchArgs};
 use bench::{header, push_row_field, serving_row, write_bench_json};
 use std::time::Instant;
-use system::{Cluster, Scenario, ServingReport};
+use system::{Materialized, Scenario, ServingReport};
 
 const DEFAULT_SCENARIO: &str = "scenarios/perf/sim_speed_100k.json";
 const TINY_DIVISOR: usize = 64;
@@ -49,11 +49,18 @@ fn main() {
     }
     let check_determinism = args.rest.iter().any(|a| a == "--check-determinism");
 
-    let m = scenario.materialize().unwrap_or_else(|e| {
+    let mut m = scenario.materialize().unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
     });
-    let replicas = m.evaluator.system().replicas();
+    let replicas: u32 = if m.pools.is_empty() {
+        m.evaluator.system().replicas()
+    } else {
+        m.pools
+            .iter()
+            .map(|p| p.evaluator.system().replicas())
+            .sum()
+    };
     header(&format!(
         "Simulator speed: {} requests over {} replicas ({}, {} router, threads {})",
         m.trace.len(),
@@ -63,7 +70,8 @@ fn main() {
         m.threads,
     ));
 
-    let (report, wall) = timed_run(&m.evaluator, &m, m.threads);
+    let threads = m.threads;
+    let (report, wall) = timed_run(&m);
     let completed = report.latency.completed;
     let sim_rps = if wall > 0.0 {
         completed as f64 / wall
@@ -77,16 +85,13 @@ fn main() {
     );
 
     if check_determinism {
-        let (sequential, seq_wall) = timed_run(&m.evaluator, &m, 1);
+        m.threads = 1;
+        let (sequential, seq_wall) = timed_run(&m);
         assert_eq!(
             sequential, report,
-            "threads=1 and threads={} reports must be byte-identical",
-            m.threads
+            "threads=1 and threads={threads} reports must be byte-identical"
         );
-        println!(
-            "determinism: threads=1 ({seq_wall:.2}s) matches threads={} byte-for-byte",
-            m.threads
-        );
+        println!("determinism: threads=1 ({seq_wall:.2}s) matches threads={threads} byte-for-byte");
     }
 
     if let Some(json_path) = &args.json {
@@ -108,20 +113,14 @@ fn main() {
     }
 }
 
-/// Runs the materialized scenario on `threads` threads, timing only the
-/// simulation (trace generation and evaluator compilation are outside
-/// the clock).
-fn timed_run(
-    eval: &system::Evaluator,
-    m: &system::Materialized,
-    threads: usize,
-) -> (ServingReport, f64) {
-    let mut router = m.router.build();
-    let cluster = Cluster::new(eval, eval.scheduling_policy()).with_threads(threads);
+/// Runs the materialized scenario through [`Materialized::run`] on its
+/// `threads`, timing only that call (trace generation and evaluator
+/// compilation are outside the clock).
+fn timed_run(m: &Materialized) -> (ServingReport, f64) {
     // Wall-clock timing is this binary's whole purpose.
     #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
-    let report = cluster.run(&m.trace, router.as_mut());
+    let report = m.run();
     (report, t0.elapsed().as_secs_f64())
 }
 

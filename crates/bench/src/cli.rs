@@ -179,9 +179,10 @@ pub fn scenario_rows(stem: &str, m: &Materialized, r: &ServingReport) -> Vec<Jso
     // Goodput and shed counters ride along only when an SLO-native
     // policy is armed, so rows of pre-SLO scenarios stay byte-identical
     // to the historical snapshot.
+    let policies = m.evaluator.policies();
     let slo_native = m.router == RouterKind::SloAware
-        || m.evaluator.shedding_policy() != SheddingPolicy::None
-        || m.evaluator.victim_order() != VictimOrder::RecentFirst;
+        || policies.shedding != SheddingPolicy::None
+        || policies.victim_order != VictimOrder::RecentFirst;
     if slo_native {
         crate::push_row_field(&mut aggregate, "goodput", Json::num(r.goodput()));
         crate::push_row_field(&mut aggregate, "shed", Json::num(r.shed as f64));

@@ -141,11 +141,13 @@ impl Json {
 
     /// Parses a JSON document (the subset this module writes, which is
     /// all of JSON except exponent-free-only numbers — exponents are
-    /// accepted too).
+    /// accepted too). Arrays and objects may nest at most
+    /// [`MAX_DEPTH`] levels deep; deeper input is an error naming the
+    /// byte where the limit was crossed, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -185,8 +187,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one value; `depth` is how many more array/object levels may
+/// open here.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == 0 {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -202,7 +215,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -224,7 +237,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -387,6 +400,24 @@ mod tests {
         // writer untouched.
         let s = Json::str("name-😀");
         assert_eq!(Json::parse(&s.to_pretty()).unwrap(), s);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than 128 levels at byte {MAX_DEPTH}")
+        );
+        // Objects count too, and unterminated deep input errors out
+        // instead of overflowing the stack.
+        let objects = "{\"a\": ".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

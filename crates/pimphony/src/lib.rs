@@ -14,86 +14,85 @@
 //!   translation enabling lazy, chunked KV-cache allocation
 //!   ([`pim_mem`]).
 //!
-//! The [`Orchestrator`] is the top-level entry point: configure a system
-//! (CENT-like PIM-only or NeuPIMs-like xPU+PIM), a model from Table I, a
-//! technique set, and a batch-scheduling policy, then evaluate serving
-//! traces.
+//! An experiment is a declarative [`Scenario`] ([`system::scenario`]):
+//! a Table I model, a system preset (CENT-like PIM-only or NeuPIMs-like
+//! xPU+PIM), a technique set, a multi-tenant workload, the cluster
+//! sizing, and the serving [`PolicySpec`] — one serializable value,
+//! also loadable from the checked-in `scenarios/*.json` files.
+//! [`Orchestrator::from_scenario`] materializes it into a runnable
+//! orchestrator plus the merged tenant-tagged trace it describes, and
+//! [`Orchestrator::serve`] runs any trace through the same
+//! [`Materialized::serve`] path the bench binaries use — pools, routers
+//! and threads included.
 //!
-//! Two scheduling policies are available through the builder:
+//! The policies cover the serving line the paper's orchestrator plugs
+//! into:
 //!
-//! * **Wave** (default) — the paper's closed-world evaluation: admit a
-//!   batch, decode it to completion, repeat. Reproduces Figs. 13–15/17.
-//! * **Continuous** — event-driven continuous batching for online
-//!   traffic: requests carry arrival times, join the running batch when
-//!   the memory policy has room, and report TTFT/TPOT/E2E latency
-//!   percentiles in [`ServingReport::latency`].
+//! * **Scheduling** — `wave` (default) is the paper's closed-world
+//!   evaluation (admit a batch, decode it to completion, repeat;
+//!   Figs. 13–15/17); `continuous` is event-driven continuous batching
+//!   for online traffic with TTFT/TPOT/E2E percentiles in
+//!   [`ServingReport::latency`].
+//! * **Routing** — arrivals are dispatched in global time order by a
+//!   pluggable load balancer (round-robin, join-shortest-queue,
+//!   least-loaded, least-prefill, SLO-aware); replica simulations run
+//!   on `cluster.threads` threads with byte-identical results whatever
+//!   the count, and reports carry a per-replica breakdown
+//!   ([`ServingReport::per_replica`]).
+//! * **Memory pressure** — continuous batching admits in priority order
+//!   and can preempt (`evict-restart` / `evict-pause`), with
+//!   `kv_capacity_factor` dialing the pressure; paged KV with prefix
+//!   caching, deadline-aware shedding and prefill/decode pools with a
+//!   KV-transfer handoff complete the set.
 //!
-//! Multi-replica systems serve through the cluster layer
-//! ([`system::cluster`]): arrivals are dispatched in global time order
-//! by a pluggable load balancer (`.router(RouterKind::…)` — round-robin,
-//! join-shortest-queue, least-loaded by reserved KV bytes, or
-//! least-prefill by pending prompt tokens), replica
-//! simulations can run in parallel (`.threads(n)`; results are
-//! byte-identical whatever the thread count), and reports carry a
-//! per-replica breakdown ([`ServingReport::per_replica`]).
-//!
-//! Experiments are also available as *data*: the builder is a thin
-//! fluent wrapper over a declarative [`Scenario`] spec
-//! ([`system::scenario`]) — model + system + techniques + multi-tenant
-//! workload + cluster + policies in one serializable value.
-//! [`Orchestrator::from_scenario`] materializes a spec (e.g. a
-//! checked-in `scenarios/*.json` file) into an orchestrator plus the
-//! merged tenant-tagged trace; reports then carry per-tenant latency
-//! percentiles, SLO attainment, and Jain tenant fairness
+//! Reports of multi-tenant specs carry per-tenant latency percentiles,
+//! SLO attainment, and Jain tenant fairness
 //! ([`ServingReport::latency_by_tenant`]).
-//!
-//! Under KV memory pressure, continuous batching admits in priority
-//! order (`workload::Request::priority`) and can preempt:
-//! `.evict_restart()` / `.evict_pause()` let a blocked higher-priority
-//! arrival evict lower-priority running requests (restart drops their
-//! tokens; pause keeps them and re-prefills prompt+tokens as an
-//! extended prompt), with eviction counts, wasted re-prefill work and
-//! per-priority latency breakdowns in the report;
-//! `.kv_capacity_factor(f)` dials the pressure.
 //!
 //! # Quickstart (paper-figure throughput)
 //!
 //! ```no_run
-//! use pimphony::OrchestratorBuilder;
-//! use pimphony::workload::{Dataset, TraceBuilder};
+//! use pimphony::workload::{Dataset, DecodeSpec};
+//! use pimphony::{Orchestrator, Scenario, TenantSpec};
 //!
-//! let orchestrator = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-//!     .pim_only()
-//!     .full_pimphony()
-//!     .build();
-//! let trace = TraceBuilder::new(Dataset::QmSum).requests(32).decode_len(64).build();
+//! // PIM-only sizing, all three techniques, wave scheduling.
+//! let spec = Scenario::new("LLM-7B-32K").tenant(
+//!     TenantSpec::new("qmsum", Dataset::QmSum)
+//!         .requests(32)
+//!         .decode(DecodeSpec::Fixed(64)),
+//! );
+//! let (orchestrator, trace) = Orchestrator::from_scenario(&spec)?;
 //! let report = orchestrator.serve(&trace);
 //! println!("{:.1} tok/s at batch {:.1}", report.tokens_per_second, report.mean_batch);
+//! # Ok::<(), String>(())
 //! ```
 //!
 //! # Online serving (continuous batching + latency percentiles)
 //!
 //! ```no_run
-//! use pimphony::OrchestratorBuilder;
-//! use pimphony::workload::{Dataset, TraceBuilder};
+//! use pimphony::system::SchedulingPolicy;
+//! use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec};
+//! use pimphony::{Orchestrator, PolicySpec, Scenario, TenantSpec};
 //!
-//! let orchestrator = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-//!     .pim_only()
-//!     .full_pimphony()
-//!     .continuous_batching()
-//!     .build();
 //! // 6 req/s Poisson arrivals with production-like response-length spread.
-//! let trace = TraceBuilder::new(Dataset::QmSum)
-//!     .requests(128)
-//!     .decode_range(16, 128)
-//!     .poisson(6.0)
-//!     .build();
+//! let mut spec = Scenario::new("LLM-7B-32K").tenant(
+//!     TenantSpec::new("chat", Dataset::QmSum)
+//!         .requests(128)
+//!         .decode(DecodeSpec::Uniform(16, 128))
+//!         .arrivals(ArrivalProcess::Poisson { rate: 6.0 }),
+//! );
+//! spec.policies = PolicySpec {
+//!     scheduling: SchedulingPolicy::Continuous,
+//!     ..PolicySpec::default()
+//! };
+//! let (orchestrator, trace) = Orchestrator::from_scenario(&spec)?;
 //! let report = orchestrator.serve(&trace);
 //! let l = &report.latency;
 //! println!(
 //!     "{:.1} tok/s | TTFT p50/p95/p99 {:.3}/{:.3}/{:.3}s | TPOT p50 {:.4}s",
 //!     report.tokens_per_second, l.ttft.p50, l.ttft.p95, l.ttft.p99, l.tpot.p50,
 //! );
+//! # Ok::<(), String>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -109,372 +108,99 @@ pub use workload;
 
 /// The declarative scenario spec (re-exported from
 /// [`system::scenario`]): one serializable value describing workload +
-/// cluster + policy, the data form of everything this builder
-/// configures.
+/// cluster + policy.
 pub use system::scenario::{ClusterSpec, Materialized, PolicySpec, Scenario, TenantSpec};
 
-use llm_model::ModelConfig;
-use system::{
-    Cluster, Evaluator, PreemptionPolicy, PrefillConfig, RouterKind, SchedulingPolicy,
-    ServingReport, SystemConfig, Techniques,
-};
+use system::{Evaluator, IterationBreakdown, ServingReport};
 use workload::Trace;
 
-/// Top-level handle evaluating a PIM serving system on traces.
-///
-/// Every orchestrator carries the declarative [`Scenario`] it was built
-/// from ([`Orchestrator::scenario`]): the builder is a thin fluent
-/// wrapper that edits that spec, so the orchestrator's configuration is
-/// always serializable and the getters simply read the spec back.
+/// Top-level handle evaluating a PIM serving system on traces: a
+/// [`Scenario`] and its [`Materialized`] simulation.
 #[derive(Debug)]
 pub struct Orchestrator {
-    evaluator: Evaluator,
     scenario: Scenario,
+    materialized: Materialized,
 }
 
 impl Orchestrator {
-    /// Creates an orchestrator from explicit configuration, with the
-    /// default (wave) scheduling policy.
-    pub fn new(system: SystemConfig, model: ModelConfig, techniques: Techniques) -> Self {
-        Self::with_policy(system, model, techniques, SchedulingPolicy::Wave)
-    }
-
-    /// Creates an orchestrator with an explicit scheduling policy.
-    ///
-    /// The evaluator uses `system` verbatim (including any custom
-    /// module sizing); the recorded scenario captures its kind and
-    /// parallelization, which is the part the spec format describes.
-    pub fn with_policy(
-        system: SystemConfig,
-        model: ModelConfig,
-        techniques: Techniques,
-        policy: SchedulingPolicy,
-    ) -> Self {
-        let mut scenario = Scenario::new(model.name);
-        scenario.system = system.kind;
-        scenario.techniques = techniques;
-        scenario.cluster.tp = system.parallel.tp;
-        scenario.cluster.pp = system.parallel.pp;
-        scenario.policies.scheduling = policy;
-        Orchestrator {
-            evaluator: Evaluator::new(system, model, techniques).with_policy(policy),
-            scenario,
-        }
-    }
-
     /// Materializes a declarative scenario into an orchestrator plus
     /// the merged multi-tenant trace it describes — `serve(&trace)`
-    /// then runs the whole experiment the spec file named.
+    /// then runs the whole experiment the spec named.
     pub fn from_scenario(scenario: &Scenario) -> Result<(Orchestrator, Trace), String> {
-        let m = scenario.materialize()?;
+        let materialized = scenario.materialize()?;
+        let trace = materialized.trace.clone();
         Ok((
             Orchestrator {
-                evaluator: m.evaluator,
                 scenario: scenario.clone(),
+                materialized,
             },
-            m.trace,
+            trace,
         ))
     }
 
-    /// Serves a trace through the cluster layer — arrivals are routed to
-    /// replicas by the configured load balancer and the replica sims run
-    /// on the configured number of threads — returning the
-    /// throughput/latency/energy report. Results are independent of the
-    /// thread count.
+    /// Serves a trace through [`Materialized::serve`] — the spec's
+    /// pools, routers and thread count included — returning the
+    /// throughput/latency/energy report. Results are independent of
+    /// the thread count.
     pub fn serve(&self, trace: &Trace) -> ServingReport {
-        let mut router = self.scenario.policies.router.build();
-        Cluster::new(&self.evaluator, self.evaluator.scheduling_policy())
-            .with_threads(self.scenario.cluster.threads)
-            .run(trace, router.as_mut())
+        self.materialized.serve(trace)
     }
 
-    /// One decode iteration for an explicit `(request id, tokens)` batch.
-    pub fn iteration(&self, batch: &[(u64, u64)]) -> system::IterationBreakdown {
-        self.evaluator.iteration(batch)
+    /// One decode iteration for an explicit `(request id, tokens)` batch
+    /// on the flat (pool-free) evaluator.
+    pub fn iteration(&self, batch: &[(u64, u64)]) -> IterationBreakdown {
+        self.materialized.evaluator.iteration(batch)
     }
 
-    /// The underlying evaluator.
+    /// The flat (pool-free) evaluator; pooled specs carry one per pool
+    /// in [`Materialized::pools`].
     pub fn evaluator(&self) -> &Evaluator {
-        &self.evaluator
+        &self.materialized.evaluator
     }
 
     /// The declarative spec this orchestrator was built from.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
     }
-
-    /// The active batch-scheduling policy.
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.evaluator.scheduling_policy()
-    }
-
-    /// The active preemption policy.
-    pub fn preemption(&self) -> PreemptionPolicy {
-        self.evaluator.preemption_policy()
-    }
-
-    /// The active cross-replica load balancer.
-    pub fn router(&self) -> RouterKind {
-        self.scenario.policies.router
-    }
-
-    /// The replica-simulation thread count.
-    pub fn threads(&self) -> usize {
-        self.scenario.cluster.threads
-    }
-}
-
-/// Builder for [`Orchestrator`] with the paper's preset configurations.
-///
-/// A thin fluent wrapper over a declarative [`Scenario`]: every method
-/// edits one field of the spec, and [`OrchestratorBuilder::build`]
-/// materializes the evaluator from it — so a new serving knob is added
-/// to the `Scenario` struct once instead of being plumbed through
-/// parallel builder fields. The resolved [`ModelConfig`] rides along so
-/// custom (non-Table-I) model configs keep working; everything else
-/// lives in the spec, inspectable via
-/// [`OrchestratorBuilder::scenario`].
-#[derive(Debug, Clone)]
-pub struct OrchestratorBuilder {
-    scenario: Scenario,
-    model: ModelConfig,
-}
-
-impl OrchestratorBuilder {
-    /// Starts from a model with the paper's PIM-only defaults.
-    pub fn new(model: ModelConfig) -> Self {
-        OrchestratorBuilder {
-            scenario: Scenario::new(model.name),
-            model,
-        }
-    }
-
-    /// The declarative spec the fluent calls have assembled so far.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// Uses the CENT-like PIM-only system sizing (Table IV).
-    pub fn pim_only(mut self) -> Self {
-        self.scenario.system = system::SystemKind::PimOnly;
-        self
-    }
-
-    /// Uses the NeuPIMs-like xPU+PIM system sizing (Table IV).
-    pub fn xpu_pim(mut self) -> Self {
-        self.scenario.system = system::SystemKind::XpuPim;
-        self
-    }
-
-    /// Overrides the (TP, PP) parallelization (both degrees ≥ 1; the
-    /// spec-level `tp = 0` "whole node" sentinel is not accepted here —
-    /// simply don't call `parallel` to keep the preset sizing).
-    pub fn parallel(mut self, tp: u32, pp: u32) -> Self {
-        assert!(tp > 0 && pp > 0, "parallel degrees must be positive");
-        self.scenario.cluster.tp = tp;
-        self.scenario.cluster.pp = pp;
-        self
-    }
-
-    /// Disables every PIMphony technique (the prior-work baseline).
-    pub fn baseline(mut self) -> Self {
-        self.scenario.techniques = Techniques::baseline();
-        self
-    }
-
-    /// Enables all three techniques.
-    pub fn full_pimphony(mut self) -> Self {
-        self.scenario.techniques = Techniques::pimphony();
-        self
-    }
-
-    /// Sets an explicit technique combination.
-    pub fn techniques(mut self, techniques: Techniques) -> Self {
-        self.scenario.techniques = techniques;
-        self
-    }
-
-    /// Sets an explicit batch-scheduling policy.
-    pub fn policy(mut self, policy: SchedulingPolicy) -> Self {
-        self.scenario.policies.scheduling = policy;
-        self
-    }
-
-    /// Serves online traffic with event-driven continuous batching
-    /// (requests join running batches as memory frees; the report gains
-    /// TTFT/TPOT/E2E percentiles).
-    pub fn continuous_batching(self) -> Self {
-        self.policy(SchedulingPolicy::Continuous)
-    }
-
-    /// Serves closed-world decode waves (the default; reproduces the
-    /// paper's figures).
-    pub fn wave_serving(self) -> Self {
-        self.policy(SchedulingPolicy::Wave)
-    }
-
-    /// Sets an explicit prefill configuration (default: disabled, the
-    /// historical decode-only simulation).
-    pub fn prefill(mut self, prefill: PrefillConfig) -> Self {
-        self.scenario.policies.prefill = prefill;
-        self
-    }
-
-    /// Models prompt processing end-to-end: prompts are prefilled
-    /// `chunk_tokens` at a time before decoding (interleaved with
-    /// running decode steps under continuous batching), and TTFT covers
-    /// arrival → first token including queueing and prefill delay
-    /// (decomposed in `ServingReport::latency`).
-    pub fn chunked_prefill(self, chunk_tokens: u64) -> Self {
-        self.prefill(PrefillConfig::chunked(chunk_tokens))
-    }
-
-    /// Sets the preemption policy: what continuous batching may do when
-    /// an arrived request cannot be admitted for lack of KV memory
-    /// (default: [`PreemptionPolicy::None`], admitted requests always
-    /// run to completion). Eviction requires priority diversity in the
-    /// trace — victims must have strictly lower priority than the
-    /// blocked candidate.
-    pub fn preemption(mut self, preemption: PreemptionPolicy) -> Self {
-        self.scenario.policies.preemption = preemption;
-        self
-    }
-
-    /// Under memory pressure, evict lower-priority running requests and
-    /// restart them from scratch later (their KV *and* generated tokens
-    /// are dropped).
-    pub fn evict_restart(self) -> Self {
-        self.preemption(PreemptionPolicy::EvictRestart)
-    }
-
-    /// Under memory pressure, evict lower-priority running requests but
-    /// keep their generated tokens; on resume the prompt plus kept
-    /// tokens are re-prefilled as an extended prompt and decoding
-    /// continues where it stopped.
-    pub fn evict_pause(self) -> Self {
-        self.preemption(PreemptionPolicy::EvictPause)
-    }
-
-    /// Scales the replica KV pool (default 1.0 = hardware capacity).
-    /// Fractions below one model memory pressure — the regime where
-    /// preemption policies matter — without re-sizing the system.
-    pub fn kv_capacity_factor(mut self, factor: f64) -> Self {
-        self.scenario.policies.kv_capacity_factor = factor;
-        self
-    }
-
-    /// Sets the cross-replica load balancer routing each arrival to a
-    /// replica (default: [`RouterKind::RoundRobin`], which reproduces
-    /// trace-level partitioning bit-exactly).
-    pub fn router(mut self, router: RouterKind) -> Self {
-        self.scenario.policies.router = router;
-        self
-    }
-
-    /// Routes arrivals to the replica with the fewest in-flight requests
-    /// (join-shortest-queue) — the bursty-traffic tail-latency policy.
-    pub fn join_shortest_queue(self) -> Self {
-        self.router(RouterKind::JoinShortestQueue)
-    }
-
-    /// Simulates replicas on up to `threads` scoped threads (`0` means
-    /// one per available CPU). Reports are byte-identical whatever the
-    /// thread count — parallelism only changes wall-clock time.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.scenario.cluster.threads = threads;
-        self
-    }
-
-    /// Builds the orchestrator by materializing the assembled scenario
-    /// (the spec's evaluator path, shared with `--scenario` files —
-    /// there is exactly one place knobs turn into an [`Evaluator`]).
-    pub fn build(self) -> Orchestrator {
-        Orchestrator {
-            evaluator: self.scenario.evaluator_for(self.model),
-            scenario: self.scenario,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::{Dataset, TraceBuilder};
+    use system::{PrefillConfig, RouterKind, SchedulingPolicy, SystemKind, Techniques};
+    use workload::{ArrivalProcess, Dataset, DecodeSpec};
 
-    #[test]
-    fn builder_presets_produce_working_orchestrators() {
-        let trace = TraceBuilder::new(Dataset::QmSum)
-            .seed(1)
-            .requests(6)
-            .decode_len(8)
-            .build();
-        let pim = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .pim_only()
-            .build();
-        let xpu = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .xpu_pim()
-            .build();
-        assert!(pim.serve(&trace).tokens_per_second > 0.0);
-        assert!(xpu.serve(&trace).tokens_per_second > 0.0);
+    /// A one-tenant LLM-7B-32K spec over `tenant`.
+    fn spec(tenant: TenantSpec) -> Scenario {
+        Scenario::new("LLM-7B-32K").tenant(tenant)
+    }
+
+    /// A one-tenant continuous-batching spec over `tenant`.
+    fn continuous(tenant: TenantSpec) -> Scenario {
+        let mut s = spec(tenant);
+        s.policies.scheduling = SchedulingPolicy::Continuous;
+        s
+    }
+
+    fn serve(s: &Scenario) -> ServingReport {
+        let (o, trace) = Orchestrator::from_scenario(s).expect("materialize");
+        o.serve(&trace)
     }
 
     #[test]
     fn baseline_vs_pimphony_end_to_end() {
-        let trace = TraceBuilder::new(Dataset::QmSum)
-            .seed(2)
-            .requests(8)
-            .decode_len(8)
-            .build();
-        let base = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .pim_only()
-            .baseline()
-            .build();
-        let full = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .pim_only()
-            .full_pimphony()
-            .build();
-        let rb = base.serve(&trace);
-        let rf = full.serve(&trace);
+        let mut base = spec(
+            TenantSpec::new("t", Dataset::QmSum)
+                .seed(2)
+                .requests(8)
+                .decode(DecodeSpec::Fixed(8)),
+        );
+        let full = base.clone();
+        base.techniques = Techniques::baseline();
+        let rb = serve(&base);
+        let rf = serve(&full);
         assert!(rf.tokens_per_second > rb.tokens_per_second);
         assert!(rf.attn_utilization > rb.attn_utilization);
-    }
-
-    #[test]
-    fn builder_is_a_thin_scenario_wrapper() {
-        let b = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .parallel(2, 1)
-            .continuous_batching()
-            .join_shortest_queue()
-            .evict_pause()
-            .chunked_prefill(256)
-            .kv_capacity_factor(0.5)
-            .threads(4);
-        let s = b.scenario();
-        assert_eq!(s.model, "LLM-7B-32K");
-        assert_eq!(s.policies.scheduling, SchedulingPolicy::Continuous);
-        assert_eq!(s.policies.router, RouterKind::JoinShortestQueue);
-        assert_eq!(s.policies.preemption, PreemptionPolicy::EvictPause);
-        assert!(s.policies.prefill.enabled);
-        assert_eq!(s.policies.prefill.chunk_tokens, 256);
-        assert_eq!(s.policies.kv_capacity_factor, 0.5);
-        assert_eq!(
-            s.cluster,
-            ClusterSpec {
-                tp: 2,
-                pp: 1,
-                modules: 0,
-                threads: 4,
-                pools: Vec::new(),
-            }
-        );
-        // The built orchestrator's evaluator and getters read the spec.
-        let o = b.build();
-        assert_eq!(o.router(), RouterKind::JoinShortestQueue);
-        assert_eq!(o.threads(), 4);
-        assert_eq!(o.preemption(), PreemptionPolicy::EvictPause);
-        assert_eq!(o.evaluator().kv_capacity_factor(), 0.5);
-        assert_eq!(o.evaluator().prefill_config().chunk_tokens, 256);
-        assert_eq!(o.scenario().policies.stride, 64);
     }
 
     #[test]
@@ -488,8 +214,8 @@ mod tests {
                 TenantSpec::new("interactive", Dataset::QmSum)
                     .requests(8)
                     .seed(3)
-                    .decode(workload::DecodeSpec::Uniform(8, 24))
-                    .arrivals(workload::ArrivalProcess::Poisson { rate: 4.0 })
+                    .decode(DecodeSpec::Uniform(8, 24))
+                    .arrivals(ArrivalProcess::Poisson { rate: 4.0 })
                     .priority(1)
                     .slo_ttft_p99(60.0),
             )
@@ -497,12 +223,17 @@ mod tests {
                 TenantSpec::new("batch", Dataset::QmSum)
                     .requests(6)
                     .seed(4)
-                    .decode(workload::DecodeSpec::Fixed(32)),
+                    .decode(DecodeSpec::Fixed(32)),
             );
         let (o, trace) = Orchestrator::from_scenario(&s).expect("materialize");
         assert_eq!(trace.len(), 14);
         assert_eq!(o.scenario(), &s);
         let r = o.serve(&trace);
+        assert_eq!(
+            r,
+            s.materialize().unwrap().run(),
+            "one path from spec to report"
+        );
         assert_eq!(r.latency.completed, 14);
         assert_eq!(r.latency_by_tenant.len(), 2);
         assert!((0.0..=1.0).contains(&r.latency_by_tenant[0].slo_attainment));
@@ -512,109 +243,69 @@ mod tests {
     }
 
     #[test]
+    fn system_presets_serve() {
+        for system in [SystemKind::PimOnly, SystemKind::XpuPim] {
+            let mut s = spec(
+                TenantSpec::new("t", Dataset::QmSum)
+                    .seed(1)
+                    .requests(6)
+                    .decode(DecodeSpec::Fixed(8)),
+            );
+            s.system = system;
+            assert!(serve(&s).tokens_per_second > 0.0, "{system:?}");
+        }
+    }
+
+    #[test]
     fn parallel_override_applies() {
-        let o = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .parallel(2, 4)
-            .build();
+        let mut s = spec(TenantSpec::new("t", Dataset::QmSum));
+        s.cluster.tp = 2;
+        s.cluster.pp = 4;
+        let (o, _) = Orchestrator::from_scenario(&s).expect("materialize");
         assert_eq!(o.evaluator().system().parallel.tp, 2);
         assert_eq!(o.evaluator().system().parallel.pp, 4);
     }
 
     #[test]
     fn iteration_is_exposed() {
-        let o = OrchestratorBuilder::new(llm_model::LLM_7B_32K).build();
+        let (o, _) =
+            Orchestrator::from_scenario(&spec(TenantSpec::new("t", Dataset::QmSum))).unwrap();
         let it = o.iteration(&[(0, 8192), (1, 4096)]);
         assert!(it.seconds > 0.0);
         assert!(it.attn_seconds > 0.0);
     }
 
     #[test]
-    fn policy_selection_flows_through_builder() {
-        let wave = OrchestratorBuilder::new(llm_model::LLM_7B_32K).build();
-        let cont = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .continuous_batching()
-            .build();
-        assert_eq!(wave.policy(), SchedulingPolicy::Wave);
-        assert_eq!(cont.policy(), SchedulingPolicy::Continuous);
-        assert_eq!(
-            wave.policy(),
-            OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-                .continuous_batching()
-                .wave_serving()
-                .build()
-                .policy()
-        );
-    }
-
-    #[test]
-    fn router_and_threads_flow_through_builder() {
-        let o = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .continuous_batching()
-            .join_shortest_queue()
-            .threads(4)
-            .build();
-        assert_eq!(o.router(), RouterKind::JoinShortestQueue);
-        assert_eq!(o.threads(), 4);
-        assert_eq!(
-            OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-                .router(RouterKind::LeastLoaded)
-                .build()
-                .router(),
-            RouterKind::LeastLoaded
-        );
-        assert_eq!(
-            OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-                .build()
-                .router(),
-            RouterKind::RoundRobin
-        );
-    }
-
-    #[test]
     fn parallel_serving_matches_sequential_exactly() {
         // 4 replicas, bursty arrivals, JSQ: the report must not depend on
         // the simulation thread count.
-        let trace = TraceBuilder::new(Dataset::QmSum)
-            .seed(5)
-            .requests(32)
-            .decode_range(8, 48)
-            .bursty(8.0, 2.5)
-            .build();
-        let build = |threads| {
-            OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-                .parallel(2, 1)
-                .continuous_batching()
-                .join_shortest_queue()
-                .threads(threads)
-                .build()
-        };
-        let sequential = build(1).serve(&trace);
-        let parallel = build(4).serve(&trace);
-        assert_eq!(sequential, parallel);
+        let mut s = continuous(
+            TenantSpec::new("t", Dataset::QmSum)
+                .seed(5)
+                .requests(32)
+                .decode(DecodeSpec::Uniform(8, 48))
+                .arrivals(ArrivalProcess::Bursty { rate: 8.0, cv: 2.5 }),
+        );
+        s.cluster.tp = 2;
+        s.policies.router = RouterKind::JoinShortestQueue;
+        let sequential = serve(&s);
+        s.cluster.threads = 4;
+        assert_eq!(sequential, serve(&s));
     }
 
     #[test]
-    fn chunked_prefill_flows_through_builder_and_dominates_ttft() {
-        let trace = TraceBuilder::new(Dataset::QmSum)
-            .seed(4)
-            .requests(8)
-            .decode_range(8, 32)
-            .poisson(3.0)
-            .build();
-        let build = |prefill: bool| {
-            let b = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-                .pim_only()
-                .full_pimphony()
-                .continuous_batching();
-            if prefill { b.chunked_prefill(512) } else { b }.build()
-        };
-        let decode_only = build(false);
-        let end_to_end = build(true);
-        assert!(!decode_only.evaluator().prefill_config().enabled);
-        assert!(end_to_end.evaluator().prefill_config().enabled);
-        assert_eq!(end_to_end.evaluator().prefill_config().chunk_tokens, 512);
-        let rd = decode_only.serve(&trace);
-        let re = end_to_end.serve(&trace);
+    fn chunked_prefill_dominates_ttft() {
+        let decode_only = continuous(
+            TenantSpec::new("t", Dataset::QmSum)
+                .seed(4)
+                .requests(8)
+                .decode(DecodeSpec::Uniform(8, 32))
+                .arrivals(ArrivalProcess::Poisson { rate: 3.0 }),
+        );
+        let mut end_to_end = decode_only.clone();
+        end_to_end.policies.prefill = PrefillConfig::chunked(512);
+        let rd = serve(&decode_only);
+        let re = serve(&end_to_end);
         assert_eq!(rd.tokens, re.tokens, "same decode work");
         assert_eq!(rd.prefill_tokens, 0);
         assert!(re.prefill_tokens > 0);
@@ -624,17 +315,14 @@ mod tests {
 
     #[test]
     fn continuous_batching_reports_latency_percentiles() {
-        let trace = TraceBuilder::new(Dataset::QmSum)
-            .seed(4)
-            .requests(20)
-            .decode_range(8, 32)
-            .poisson(3.0)
-            .build();
-        let o = OrchestratorBuilder::new(llm_model::LLM_7B_32K)
-            .pim_only()
-            .full_pimphony()
-            .continuous_batching()
-            .build();
+        let s = continuous(
+            TenantSpec::new("t", Dataset::QmSum)
+                .seed(4)
+                .requests(20)
+                .decode(DecodeSpec::Uniform(8, 32))
+                .arrivals(ArrivalProcess::Poisson { rate: 3.0 }),
+        );
+        let (o, trace) = Orchestrator::from_scenario(&s).expect("materialize");
         let r = o.serve(&trace);
         assert_eq!(r.latency.completed, trace.len() as u64);
         assert!(r.latency.ttft.p50 > 0.0);

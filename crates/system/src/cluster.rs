@@ -9,8 +9,8 @@
 //!
 //! * [`RoundRobin`] — ignores load; through the cluster path this is
 //!   bit-exact with the old trace-level partitioning (enforced by the
-//!   wave-oracle tests, which now exercise this path via
-//!   [`crate::Engine`]).
+//!   wave-oracle tests, which exercise this path via
+//!   [`Evaluator::run_trace`]).
 //! * [`JoinShortestQueue`] — fewest in-flight (queued + running)
 //!   requests, the classic JSQ policy that absorbs bursts.
 //! * [`LeastLoaded`] — fewest reserved KV bytes under the active memory

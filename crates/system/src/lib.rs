@@ -10,16 +10,16 @@
 //!   exact cycle simulation.
 //! * [`stage`] — attention/FC stage composition under TP and PP.
 //! * [`serve`] — the [`Evaluator`]: memory policy, admission primitives,
-//!   and the [`ServingReport`].
-//! * [`engine`] — event-driven serving facade advancing per-replica
-//!   virtual time over admission/step/completion events.
+//!   the [`PolicySpec`] it runs under, and the [`ServingReport`].
 //! * [`replica`] — the standalone per-replica state machine
-//!   (`ReplicaSim`) behind both the engine and the cluster.
+//!   (`ReplicaSim`) advancing virtual time over
+//!   admission/step/completion events.
 //! * [`cluster`] — multi-replica serving: globally ordered arrivals
 //!   dispatched through a pluggable [`cluster::Router`] (round-robin /
 //!   join-shortest-queue / least-loaded) with replica sims running on
 //!   scoped threads and a deterministic merge.
-//! * [`policy`] — pluggable batch scheduling: closed-world
+//! * [`policy`] — the [`PolicySpec`] knob bundle and pluggable batch
+//!   scheduling: closed-world
 //!   [`SchedulingPolicy::Wave`] (paper-figure fidelity, Figs. 13–15 and
 //!   17) and online [`SchedulingPolicy::Continuous`] batching over
 //!   arrival times; [`PrefillConfig`] turns on end-to-end prompt
@@ -32,7 +32,8 @@
 //!   [`Scenario`] value (model + system + techniques + multi-tenant
 //!   workload + cluster + policies) round-trips through JSON
 //!   (`scenarios/*.json`) and materializes into a runnable
-//!   evaluator/trace pair.
+//!   [`Materialized`] simulation whose `run` is the one path from a
+//!   spec to a report.
 //! * [`metrics`] — per-request TTFT/TPOT/E2E latency percentiles with a
 //!   queueing-vs-prefill TTFT decomposition, per-replica and per-tenant
 //!   breakdowns (SLO attainment), Jain fairness.
@@ -61,7 +62,7 @@
 //!
 //! ```no_run
 //! use llm_model::LLM_7B_32K;
-//! use system::{Evaluator, SchedulingPolicy, SystemConfig, Techniques};
+//! use system::{Evaluator, PolicySpec, SchedulingPolicy, SystemConfig, Techniques};
 //! use workload::{Dataset, TraceBuilder};
 //!
 //! let trace = TraceBuilder::new(Dataset::QmSum)
@@ -73,7 +74,11 @@
 //!     SystemConfig::cent_for(&LLM_7B_32K),
 //!     LLM_7B_32K,
 //!     Techniques::pimphony(),
-//! ).with_policy(SchedulingPolicy::Continuous);
+//! )
+//! .with_policies(PolicySpec {
+//!     scheduling: SchedulingPolicy::Continuous,
+//!     ..PolicySpec::default()
+//! });
 //! let report = eval.run_trace(&trace);
 //! println!(
 //!     "{:.1} tok/s, TTFT p99 {:.3}s, TPOT p50 {:.4}s",
@@ -87,7 +92,6 @@
 pub mod cluster;
 pub mod config;
 pub mod energy;
-pub mod engine;
 pub mod gpu;
 pub mod kernel;
 pub mod metrics;
@@ -103,7 +107,6 @@ pub use cluster::{
 };
 pub use config::{ModuleConfig, SystemConfig, SystemKind, Techniques};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use engine::Engine;
 pub use gpu::GpuSystem;
 pub use kernel::{AttentionKind, KernelModel, KernelStats};
 pub use metrics::{
@@ -111,12 +114,10 @@ pub use metrics::{
     PriorityLatency, ReplicaBreakdown, RequestTiming, TenantLatency,
 };
 pub use policy::{
-    KvTransferConfig, PagedKvConfig, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy,
-    SheddingPolicy, VictimOrder,
+    KvTransferConfig, PagedKvConfig, PolicySpec, PoolRole, PreemptionPolicy, PrefillConfig,
+    SchedulingPolicy, SheddingPolicy, VictimOrder,
 };
 pub use replica::ReplicaLoad;
-pub use scenario::{
-    ClusterSpec, Materialized, MaterializedPool, PolicySpec, PoolSpec, Scenario, TenantSpec,
-};
+pub use scenario::{ClusterSpec, Materialized, MaterializedPool, PoolSpec, Scenario, TenantSpec};
 pub use serve::{Evaluator, KvTransferModel, ServingReport, TtftPredictor};
 pub use stage::{AttentionStage, IterationBreakdown, StageModel};

@@ -16,6 +16,7 @@
 //!   blocking under static reservations is visible by design (that gap
 //!   is exactly what DPA's lazy allocation closes).
 
+use crate::cluster::RouterKind;
 use crate::serve::Evaluator;
 use serde::Serialize;
 use workload::Request;
@@ -402,6 +403,62 @@ impl PagedKvConfig {
 impl Default for PagedKvConfig {
     fn default() -> Self {
         Self::disabled()
+    }
+}
+
+/// The serving-policy bundle — every scheduling, routing, preemption,
+/// prefill and memory knob in one value. A `Scenario` declares it, the
+/// JSON codec reads and writes it, and the [`Evaluator`] holds it as is
+/// ([`Evaluator::with_policies`]); there is no other copy of a knob.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PolicySpec {
+    /// Batch scheduling policy.
+    pub scheduling: SchedulingPolicy,
+    /// Cross-replica load balancer.
+    pub router: RouterKind,
+    /// What a blocked candidate may do under KV memory pressure.
+    pub preemption: PreemptionPolicy,
+    /// Prompt-processing configuration.
+    pub prefill: PrefillConfig,
+    /// KV-pool scale factor (must be positive; 1.0 = hardware
+    /// capacity). Fractions below one model memory pressure — the
+    /// regime where admission blocks and preemption matters — without
+    /// re-sizing the system.
+    pub kv_capacity_factor: f64,
+    /// Decode steps between iteration-cost recomputes (≥ 1). Chunks are
+    /// priced at their midpoint step, so throughput is stride-invariant
+    /// up to the affine kernel model (`tests/engine_properties.rs`).
+    pub stride: u64,
+    /// Paged KV cache with prefix caching and page-granular eviction
+    /// (continuous scheduling only; off is bit-exact with whole-request
+    /// reservations).
+    pub paged_kv: PagedKvConfig,
+    /// Deadline-aware admission control (continuous scheduling only;
+    /// `None` — the default — is bit-exact with no admission control).
+    pub shedding: SheddingPolicy,
+    /// Within-class eviction victim order (the default `RecentFirst` is
+    /// bit-exact with the historical most-recently-admitted order).
+    pub victim_order: VictimOrder,
+    /// Cross-pool KV-transfer cost model (per-page latency + link
+    /// bandwidth), priced only when a `prefill`-role pool hands
+    /// requests off — inert for colocated clusters.
+    pub kv_transfer: KvTransferConfig,
+}
+
+impl Default for PolicySpec {
+    fn default() -> Self {
+        PolicySpec {
+            scheduling: SchedulingPolicy::Wave,
+            router: RouterKind::RoundRobin,
+            preemption: PreemptionPolicy::None,
+            prefill: PrefillConfig::disabled(),
+            kv_capacity_factor: 1.0,
+            stride: 64,
+            paged_kv: PagedKvConfig::disabled(),
+            shedding: SheddingPolicy::None,
+            victim_order: VictimOrder::RecentFirst,
+            kv_transfer: KvTransferConfig::default(),
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Standalone per-replica serving state machine.
 //!
 //! `ReplicaSim` is the per-replica core extracted from the original
-//! `Engine::run` loops: it owns one replica's pending queue, running
+//! serving loops: it owns one replica's pending queue, running
 //! batch, memory admitter and virtual clock, and advances them over
 //! admission / chunked-decode / completion events. The cluster layer
 //! ([`crate::cluster`]) drives many `ReplicaSim`s — routing each arrival
@@ -641,7 +641,7 @@ pub(crate) struct ReplicaSim<'a> {
 impl<'a> ReplicaSim<'a> {
     /// Creates an idle replica for a run compiled for worst case `t_max`.
     pub(crate) fn new(eval: &'a Evaluator, policy: SchedulingPolicy, t_max: u64) -> Self {
-        let paged_cfg = eval.paged_kv_config();
+        let paged_cfg = eval.policies().paged_kv;
         // Paged KV is a continuous-policy feature: the closed-world wave
         // loop admits and retires whole waves, so there is nothing for a
         // page cache to share across admissions.
@@ -653,7 +653,7 @@ impl<'a> ReplicaSim<'a> {
                 discounted: BTreeMap::new(),
             });
         let shedding = if policy == SchedulingPolicy::Continuous {
-            eval.shedding_policy()
+            eval.policies().shedding
         } else {
             SheddingPolicy::None // closed-world waves have no deadlines
         };
@@ -669,10 +669,10 @@ impl<'a> ReplicaSim<'a> {
             eval,
             stage: eval.stage_model(),
             policy,
-            preempt: eval.preemption_policy(),
-            prefill: eval.prefill_config(),
+            preempt: eval.policies().preemption,
+            prefill: eval.policies().prefill,
             shedding,
-            victim_order: eval.victim_order(),
+            victim_order: eval.policies().victim_order,
             predictor: if shedding.sheds() {
                 eval.ttft_predictor()
             } else {
@@ -1042,10 +1042,10 @@ impl<'a> ReplicaSim<'a> {
     /// is treated as queued at time 0), so TTFT under this policy
     /// measures closed-world queueing, and preemption never applies (an
     /// admitted wave always runs to completion). Extracted verbatim from
-    /// `Engine::run_wave_replica`.
+    /// the original wave loop.
     fn run_wave(&mut self) {
         let eval = self.eval;
-        let stride = eval.stride();
+        let stride = eval.policies().stride;
         let queue: Vec<Request> = self
             .pending
             .drain_fifo()
@@ -1782,7 +1782,7 @@ impl<'a> ReplicaSim<'a> {
     /// cached for the revisit).
     fn decode_chunk(&mut self, limit: f64) -> Result<(), f64> {
         let eval = self.eval;
-        let stride = eval.stride();
+        let stride = eval.policies().stride;
         let min_remaining = self
             .running
             .iter()
@@ -1982,7 +1982,7 @@ mod tests {
     #[test]
     fn reclaimed_prefix_pages_bill_recompute_on_readmission() {
         use crate::config::{SystemConfig, Techniques};
-        use crate::PagedKvConfig;
+        use crate::{PagedKvConfig, PolicySpec, PrefillConfig};
         use llm_model::LLM_7B_32K;
 
         let page_bytes = PagedKvConfig::DEFAULT_PAGE_BYTES;
@@ -1995,11 +1995,13 @@ mod tests {
         // both evict the worker (8 pages) and then reclaim 3 of its 4
         // cached prefix pages to fit.
         let factor = 12.5 * page_bytes as f64 / base.replica_kv_capacity() as f64;
-        let eval = base
-            .with_chunked_prefill(512)
-            .with_preemption(PreemptionPolicy::EvictRestart)
-            .with_prefix_caching(page_bytes)
-            .with_kv_capacity_factor(factor);
+        let eval = base.with_policies(PolicySpec {
+            preemption: PreemptionPolicy::EvictRestart,
+            prefill: PrefillConfig::chunked(512),
+            kv_capacity_factor: factor,
+            paged_kv: PagedKvConfig::paged(page_bytes),
+            ..PolicySpec::default()
+        });
         let pt = eval.page_tokens();
         let worker = |arrival_us: u64| Request {
             id: 0,

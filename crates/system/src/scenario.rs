@@ -2,18 +2,18 @@
 //! describes workload + cluster + policy and materializes into a
 //! runnable simulation.
 //!
-//! The configuration surface of this repository grew organically across
-//! four layers — `Evaluator::with_*`, the `pimphony` builder, the
-//! `workload` trace builder, and twenty bench binaries each hand-rolling
-//! its own argument parsing — so every new knob had to be plumbed
-//! through all of them. A `Scenario` collapses that: experiments are
-//! *data*, round-tripping through the dependency-free [`jsonio`] layer
-//! (`scenarios/*.json`), shared verbatim by tests, benches, and CI.
+//! Experiments are *data*: a `Scenario` round-trips through the
+//! dependency-free [`jsonio`] layer (`scenarios/*.json`) and is shared
+//! verbatim by tests, benches, and CI. Serving knobs are declared once,
+//! in [`PolicySpec`], which the [`Evaluator`] holds whole. The JSON
+//! codec rejects unknown keys (naming the closest known one) and
+//! integers that do not fit their field.
 //!
 //! ```text
-//! scenarios/*.json ──parse──▶ Scenario ──materialize──▶ Evaluator + Trace
+//! scenarios/*.json ──parse──▶ Scenario ──materialize──▶ Materialized
+//!                                  (evaluators + pools + routers + trace)
 //!                                                        │
-//!                                       Cluster ◀─router─┘──▶ ServingReport
+//!                          Materialized::serve ◀─────────┘──▶ ServingReport
 //! ```
 //!
 //! Multi-tenant traffic is first-class: the workload is a list of
@@ -33,6 +33,7 @@
 
 use crate::cluster::{run_pools, Cluster, PoolRun, RouterKind};
 use crate::config::{SystemConfig, SystemKind, Techniques};
+pub use crate::policy::PolicySpec;
 use crate::policy::{
     KvTransferConfig, PagedKvConfig, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy,
     SheddingPolicy, VictimOrder,
@@ -315,55 +316,6 @@ impl Default for ClusterSpec {
     }
 }
 
-/// Scheduling/memory policy bundle of a scenario — every serving knob
-/// that used to be plumbed through three builders, in one place.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicySpec {
-    /// Batch scheduling policy.
-    pub scheduling: SchedulingPolicy,
-    /// Cross-replica load balancer.
-    pub router: RouterKind,
-    /// What a blocked candidate may do under KV memory pressure.
-    pub preemption: PreemptionPolicy,
-    /// Prompt-processing configuration.
-    pub prefill: PrefillConfig,
-    /// KV-pool scale factor (1.0 = hardware capacity).
-    pub kv_capacity_factor: f64,
-    /// Decode chunk-pricing stride.
-    pub stride: u64,
-    /// Paged KV cache with prefix caching and page-granular eviction
-    /// (continuous scheduling only; off is bit-exact with whole-request
-    /// reservations).
-    pub paged_kv: PagedKvConfig,
-    /// Deadline-aware admission control (continuous scheduling only;
-    /// `None` — the default — is bit-exact with no admission control).
-    pub shedding: SheddingPolicy,
-    /// Within-class eviction victim order (the default `RecentFirst` is
-    /// bit-exact with the historical most-recently-admitted order).
-    pub victim_order: VictimOrder,
-    /// Cross-pool KV-transfer cost model (per-page latency + link
-    /// bandwidth), priced only when a `prefill`-role pool hands
-    /// requests off — inert for colocated clusters.
-    pub kv_transfer: KvTransferConfig,
-}
-
-impl Default for PolicySpec {
-    fn default() -> Self {
-        PolicySpec {
-            scheduling: SchedulingPolicy::Wave,
-            router: RouterKind::RoundRobin,
-            preemption: PreemptionPolicy::None,
-            prefill: PrefillConfig::disabled(),
-            kv_capacity_factor: 1.0,
-            stride: 64,
-            paged_kv: PagedKvConfig::disabled(),
-            shedding: SheddingPolicy::None,
-            victim_order: VictimOrder::RecentFirst,
-            kv_transfer: KvTransferConfig::default(),
-        }
-    }
-}
-
 /// A complete, serializable experiment description: model + system +
 /// techniques + multi-tenant workload + cluster + policies. See the
 /// module docs for the JSON format and the bit-exactness guarantee.
@@ -452,9 +404,8 @@ impl Scenario {
         sys
     }
 
-    /// Builds the fully configured evaluator for an explicit (possibly
-    /// non-Table-I) model config — the path the `pimphony` builder
-    /// uses, since it accepts arbitrary `ModelConfig` values.
+    /// Builds the fully configured flat (pool-free) evaluator for
+    /// `model` — normally [`Self::resolve_model`]'s result.
     pub fn evaluator_for(&self, model: ModelConfig) -> Evaluator {
         let sys = self.system_config_for(&model);
         self.evaluator_with(sys, model)
@@ -467,11 +418,10 @@ impl Scenario {
         self.evaluator_with(sys, model).with_pool_role(pool.role)
     }
 
-    /// The shared evaluator-configuration chain over an explicit system
-    /// config — the single place every policy knob is applied, so flat
-    /// and pooled evaluators cannot drift apart.
+    /// The shared evaluator construction over an explicit system
+    /// config: the policy bundle goes in whole, so flat and pooled
+    /// evaluators cannot drift apart.
     fn evaluator_with(&self, sys: SystemConfig, model: ModelConfig) -> Evaluator {
-        let p = &self.policies;
         let slos: Vec<(u8, f64)> = self
             .workload
             .iter()
@@ -479,15 +429,7 @@ impl Scenario {
             .filter_map(|(i, t)| t.slo_ttft_p99.map(|s| (i as u8, s)))
             .collect();
         Evaluator::new(sys, model, self.techniques)
-            .with_policy(p.scheduling)
-            .with_preemption(p.preemption)
-            .with_prefill(p.prefill)
-            .with_kv_capacity_factor(p.kv_capacity_factor)
-            .with_stride(p.stride)
-            .with_paged_kv(p.paged_kv)
-            .with_shedding(p.shedding)
-            .with_victim_order(p.victim_order)
-            .with_kv_transfer(p.kv_transfer)
+            .with_policies(self.policies)
             .with_tenant_slos(slos)
     }
 
@@ -712,6 +654,16 @@ impl Scenario {
     /// state what they change; `model` and a nonempty `workload` are
     /// required.
     pub fn from_json(doc: &Json) -> Result<Scenario, String> {
+        check_keys(doc, "", keys::TOP)?;
+        for (section, known) in [
+            ("techniques", keys::TECHNIQUES),
+            ("cluster", keys::CLUSTER),
+            ("policies", keys::POLICIES),
+        ] {
+            if let Some(obj) = doc.get(section) {
+                check_keys(obj, section, known)?;
+            }
+        }
         let model = req_str(doc, "model")?.to_string();
         let system = match doc.get("system").and_then(Json::as_str) {
             None | Some("pim-only") => SystemKind::PimOnly,
@@ -734,10 +686,10 @@ impl Scenario {
         let cluster = match doc.get("cluster") {
             None => defaults,
             Some(c) => ClusterSpec {
-                tp: get_u64(c, "tp", defaults.tp as u64)? as u32,
-                pp: get_u64(c, "pp", defaults.pp as u64)? as u32,
-                modules: get_u64(c, "modules", defaults.modules as u64)? as u32,
-                threads: get_u64(c, "threads", defaults.threads as u64)? as usize,
+                tp: get_int(c, "tp", defaults.tp.into())?,
+                pp: get_int(c, "pp", defaults.pp.into())?,
+                modules: get_int(c, "modules", defaults.modules.into())?,
+                threads: get_int(c, "threads", defaults.threads as u64)?,
                 pools: match c.get("pools") {
                     None => Vec::new(),
                     Some(p) => p
@@ -816,6 +768,58 @@ impl Scenario {
     }
 }
 
+/// The keys each JSON object of a spec accepts — the codec rejects any
+/// other (see [`Scenario::from_json`]), and `docs/scenarios.md` lists
+/// exactly these.
+pub mod keys {
+    /// Top-level keys.
+    pub const TOP: &[&str] = &[
+        "model",
+        "system",
+        "techniques",
+        "cluster",
+        "policies",
+        "workload",
+    ];
+    /// Keys of the `techniques` object.
+    pub const TECHNIQUES: &[&str] = &["tcp", "dcs", "dpa"];
+    /// Keys of the `cluster` object.
+    pub const CLUSTER: &[&str] = &["tp", "pp", "modules", "threads", "pools"];
+    /// Keys of one `cluster.pools` entry.
+    pub const POOL: &[&str] = &["name", "role", "replicas", "tp", "pp", "system", "router"];
+    /// Keys of the `policies` object.
+    pub const POLICIES: &[&str] = &[
+        "scheduling",
+        "router",
+        "preemption",
+        "prefill_chunk",
+        "kv_capacity_factor",
+        "stride",
+        "prefix_caching",
+        "page_bytes",
+        "shedding",
+        "victim_order",
+        "kv_transfer_page_latency_us",
+        "kv_transfer_gbps",
+    ];
+    /// Keys of one `workload` (tenant) entry.
+    pub const TENANT: &[&str] = &[
+        "name",
+        "dataset",
+        "requests",
+        "seed",
+        "decode",
+        "arrivals",
+        "priority",
+        "slo_ttft_p99",
+        "shared_prefix",
+    ];
+    /// Keys of a tenant's `decode` object.
+    pub const DECODE: &[&str] = &["fixed", "lo", "hi"];
+    /// Keys of a tenant's `arrivals` object.
+    pub const ARRIVALS: &[&str] = &["process", "rate", "cv"];
+}
+
 /// A validated, runnable scenario: the configured evaluator, the merged
 /// tenant-tagged trace, and the routing/threading choices — everything
 /// [`Materialized::run`] needs to produce a [`ServingReport`].
@@ -853,12 +857,21 @@ pub struct MaterializedPool {
 }
 
 impl Materialized {
-    /// Serves the scenario's trace through the cluster layer and
-    /// returns the report (with per-tenant latency, SLO attainment and
-    /// goodput in `latency_by_tenant`). Pooled specs run the
-    /// phase-aware two-level path ([`run_pools`]); flat specs keep the
-    /// historical single-pool path — one and the same machinery.
+    /// Serves the scenario's own trace; see [`Self::serve`].
     pub fn run(&self) -> ServingReport {
+        self.serve(&self.trace)
+    }
+
+    /// Serves `trace` through the cluster layer on [`Self::threads`]
+    /// threads and returns the report (with per-tenant latency, SLO
+    /// attainment and goodput in `latency_by_tenant`). Pooled specs run
+    /// the phase-aware two-level path ([`run_pools`]); flat specs keep
+    /// the historical single-pool path — one and the same machinery.
+    ///
+    /// This is the one place a scenario's evaluators, pools, routers
+    /// and threads turn into a report: `Scenario` runs, the `pimphony`
+    /// orchestrator and the bench binaries all come through here.
+    pub fn serve(&self, trace: &Trace) -> ServingReport {
         if !self.pools.is_empty() {
             // `build_for`: each pool's router routes on that pool's
             // calibrated prefill rate and tenant SLOs.
@@ -875,7 +888,7 @@ impl Materialized {
                 &mut runs,
                 self.evaluator.scheduling_policy(),
                 self.threads,
-                &self.trace,
+                trace,
             );
         }
         // `build_for`: the SLO-aware router routes on the evaluator's
@@ -884,7 +897,7 @@ impl Materialized {
         let mut router = self.router.build_for(&self.evaluator);
         Cluster::new(&self.evaluator, self.evaluator.scheduling_policy())
             .with_threads(self.threads)
-            .run(&self.trace, router.as_mut())
+            .run(trace, router.as_mut())
     }
 
     /// The name of a tenant id (`"tenant-N"` fallback for ids outside
@@ -921,6 +934,7 @@ fn pool_to_json(p: &PoolSpec) -> Json {
 }
 
 fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
+    check_keys(p, "", keys::POOL)?;
     let name = req_str(p, "name")?.to_string();
     let role = parse_pool_role(get_str(p, "role", PoolRole::Mixed.label())?)?;
     let system = match p.get("system").and_then(Json::as_str) {
@@ -940,9 +954,9 @@ fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
     Ok(PoolSpec {
         name,
         role,
-        replicas: get_u64(p, "replicas", 1)? as u32,
-        tp: get_u64(p, "tp", 0)? as u32,
-        pp: get_u64(p, "pp", 1)? as u32,
+        replicas: get_int(p, "replicas", 1)?,
+        tp: get_int(p, "tp", 0)?,
+        pp: get_int(p, "pp", 1)?,
         system,
         router,
     })
@@ -996,6 +1010,7 @@ fn tenant_to_json(t: &TenantSpec) -> Json {
 }
 
 fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
+    check_keys(t, "", keys::TENANT)?;
     let name = req_str(t, "name")?.to_string();
     let dataset_name = req_str(t, "dataset")?;
     let dataset = Dataset::ALL
@@ -1011,6 +1026,7 @@ fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
     let decode = match t.get("decode") {
         None => DecodeSpec::Fixed(256),
         Some(d) => {
+            check_keys(d, "decode", keys::DECODE)?;
             if d.get("fixed").is_some() {
                 DecodeSpec::Fixed(get_u64(d, "fixed", 0)?)
             } else if d.get("lo").is_some() || d.get("hi").is_some() {
@@ -1022,26 +1038,29 @@ fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
     };
     let arrivals = match t.get("arrivals") {
         None => ArrivalProcess::Batch,
-        Some(a) => match get_str(a, "process", "batch")? {
-            "batch" => ArrivalProcess::Batch,
-            "poisson" => ArrivalProcess::Poisson {
-                rate: a
-                    .get("rate")
-                    .and_then(Json::as_f64)
-                    .ok_or("arrivals: poisson requires \"rate\"")?,
-            },
-            "bursty" => ArrivalProcess::Bursty {
-                rate: a
-                    .get("rate")
-                    .and_then(Json::as_f64)
-                    .ok_or("arrivals: bursty requires \"rate\"")?,
-                cv: a
-                    .get("cv")
-                    .and_then(Json::as_f64)
-                    .ok_or("arrivals: bursty requires \"cv\"")?,
-            },
-            other => return Err(format!("arrivals: unknown process {other:?}")),
-        },
+        Some(a) => {
+            check_keys(a, "arrivals", keys::ARRIVALS)?;
+            match get_str(a, "process", "batch")? {
+                "batch" => ArrivalProcess::Batch,
+                "poisson" => ArrivalProcess::Poisson {
+                    rate: a
+                        .get("rate")
+                        .and_then(Json::as_f64)
+                        .ok_or("arrivals: poisson requires \"rate\"")?,
+                },
+                "bursty" => ArrivalProcess::Bursty {
+                    rate: a
+                        .get("rate")
+                        .and_then(Json::as_f64)
+                        .ok_or("arrivals: bursty requires \"rate\"")?,
+                    cv: a
+                        .get("cv")
+                        .and_then(Json::as_f64)
+                        .ok_or("arrivals: bursty requires \"cv\"")?,
+                },
+                other => return Err(format!("arrivals: unknown process {other:?}")),
+            }
+        }
     };
     let slo = match t.get("slo_ttft_p99") {
         None | Some(Json::Null) => None,
@@ -1053,11 +1072,11 @@ fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
     Ok(TenantSpec {
         name,
         dataset,
-        requests: get_u64(t, "requests", 128)? as usize,
+        requests: get_int(t, "requests", 128)?,
         seed: get_u64(t, "seed", 0)?,
         decode,
         arrivals,
-        priority: get_u64(t, "priority", 0)? as u8,
+        priority: get_int(t, "priority", 0)?,
         slo_ttft_p99: slo,
         shared_prefix: get_u64(t, "shared_prefix", 0)?,
     })
@@ -1149,10 +1168,66 @@ fn get_f64(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
 
 fn get_u64(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
     let v = get_f64(obj, key, default as f64)?;
-    if v < 0.0 || v.fract() != 0.0 {
+    // `u64::MAX as f64` rounds up to 2^64, the first value `as u64`
+    // would saturate.
+    if v < 0.0 || v.fract() != 0.0 || v >= u64::MAX as f64 {
         return Err(format!("{key}: expected a nonnegative integer, got {v}"));
     }
     Ok(v as u64)
+}
+
+/// [`get_u64`] narrowed to the field's type: a value that does not fit
+/// is an error naming the key, never a silent wrap.
+fn get_int<T: TryFrom<u64>>(obj: &Json, key: &str, default: u64) -> Result<T, String> {
+    let v = get_u64(obj, key, default)?;
+    T::try_from(v).map_err(|_| format!("{key}: {v} does not fit in {}", std::any::type_name::<T>()))
+}
+
+/// Rejects `obj` unless it is an object whose keys are all in `known`;
+/// an unknown key's error names `path` and the closest known key.
+fn check_keys(obj: &Json, path: &str, known: &[&str]) -> Result<(), String> {
+    let at = |msg: String| {
+        if path.is_empty() {
+            msg
+        } else {
+            format!("{path}: {msg}")
+        }
+    };
+    let Json::Obj(pairs) = obj else {
+        return Err(at("expected an object".to_string()));
+    };
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        None => Ok(()),
+        Some((key, _)) => {
+            let closest = known
+                .iter()
+                .min_by_key(|k| edit_distance(key, k))
+                .copied()
+                .unwrap_or_default();
+            Err(at(format!(
+                "unknown key {key:?} (did you mean {closest:?}? known keys: {})",
+                known.join(", ")
+            )))
+        }
+    }
+}
+
+/// Levenshtein distance between two strings, in chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let next = (diag + usize::from(ca != cb))
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
 }
 
 #[cfg(test)]
@@ -1277,6 +1352,161 @@ mod tests {
             .unwrap_err();
             assert!(err.contains(want), "decode {decode}: {err}");
         }
+    }
+
+    /// A fully populated spec: pools with every optional key, an
+    /// off-default transfer link, and a bursty uniform-decode tenant.
+    fn every_key_scenario() -> Scenario {
+        let mut s = two_tenant_scenario();
+        s.policies.kv_transfer.gbps = 32.0;
+        s.policies.router = RouterKind::LeastLoaded;
+        s.cluster.pools = vec![
+            PoolSpec::new("prefill", PoolRole::Prefill, 1)
+                .parallel(2, 1)
+                .system(SystemKind::XpuPim)
+                .router(RouterKind::JoinShortestQueue),
+            PoolSpec::new("decode", PoolRole::Decode, 2),
+        ];
+        s
+    }
+
+    #[test]
+    fn writer_emits_exactly_the_accepted_keys() {
+        let doc = every_key_scenario().to_json();
+        let cluster = doc.get("cluster").unwrap();
+        let tenant = &doc.get("workload").unwrap().as_arr().unwrap()[0];
+        for (obj, want) in [
+            (&doc, keys::TOP),
+            (doc.get("techniques").unwrap(), keys::TECHNIQUES),
+            (cluster, keys::CLUSTER),
+            (
+                &cluster.get("pools").unwrap().as_arr().unwrap()[0],
+                keys::POOL,
+            ),
+            (doc.get("policies").unwrap(), keys::POLICIES),
+            (tenant, keys::TENANT),
+            (tenant.get("decode").unwrap(), &["lo", "hi"][..]),
+            (tenant.get("arrivals").unwrap(), keys::ARRIVALS),
+        ] {
+            let Json::Obj(pairs) = obj else {
+                panic!("not an object: {obj:?}")
+            };
+            let got: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(got, want);
+        }
+        // And the fully populated spec parses back to itself.
+        let back = Scenario::from_json(&doc).expect("parse back");
+        assert_eq!(back, every_key_scenario());
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_at_every_level_with_a_suggestion() {
+        let text = every_key_scenario().to_pretty();
+        for (from, to, path, suggestion) in [
+            ("\"model\"", "\"modle\"", "", "model"),
+            ("\"dcs\"", "\"dsc\"", "techniques: ", "dcs"),
+            ("\"modules\"", "\"module\"", "cluster: ", "modules"),
+            (
+                "\"replicas\"",
+                "\"replica\"",
+                "cluster.pools[0]: ",
+                "replicas",
+            ),
+            (
+                "\"preemption\"",
+                "\"preemptoin\"",
+                "policies: ",
+                "preemption",
+            ),
+            (
+                "\"shared_prefix\"",
+                "\"shared_prefx\"",
+                "workload[0]: ",
+                "shared_prefix",
+            ),
+            ("\"lo\"", "\"low\"", "workload[0]: decode: ", "lo"),
+            ("\"cv\"", "\"cov\"", "workload[0]: arrivals: ", "cv"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} not in the spec");
+            let err = Scenario::parse(&bad).unwrap_err();
+            let want = format!("{path}unknown key {to} (did you mean \"{suggestion}\"?");
+            assert!(err.starts_with(&want), "{err}\n  want prefix: {want}");
+        }
+        let not_object = Scenario::parse(
+            r#"{"model": "LLM-7B-32K", "policies": 3,
+                "workload": [{"name": "t", "dataset": "QMSum"}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(not_object, "policies: expected an object");
+    }
+
+    #[test]
+    fn integers_that_do_not_fit_their_field_are_rejected() {
+        let parse = |cluster: &str, pool: &str, tenant: &str| {
+            Scenario::parse(&format!(
+                r#"{{"model": "LLM-7B-32K",
+                    "cluster": {{{cluster} "pools": [{{"name": "p", {pool} "role": "mixed"}}]}},
+                    "workload": [{{"name": "t", "dataset": "QMSum" {tenant}}}]}}"#
+            ))
+        };
+        let big = 4_294_967_298u64; // 2^32 + 2: wraps to 2 as u32
+        for (cluster, pool, tenant, want) in [
+            (
+                format!(r#""tp": {big},"#),
+                "",
+                "",
+                "tp: 4294967298 does not fit in u32",
+            ),
+            (
+                format!(r#""pp": {big},"#),
+                "",
+                "",
+                "pp: 4294967298 does not fit in u32",
+            ),
+            (
+                format!(r#""modules": {big},"#),
+                "",
+                "",
+                "modules: 4294967298 does not fit in u32",
+            ),
+            (
+                String::new(),
+                r#""replicas": 4294967298,"#,
+                "",
+                "cluster.pools[0]: replicas: 4294967298 does not fit in u32",
+            ),
+            (
+                String::new(),
+                r#""tp": 4294967298,"#,
+                "",
+                "cluster.pools[0]: tp: 4294967298 does not fit in u32",
+            ),
+            (
+                String::new(),
+                r#""pp": 4294967298,"#,
+                "",
+                "cluster.pools[0]: pp: 4294967298 does not fit in u32",
+            ),
+            (
+                String::new(),
+                "",
+                r#", "priority": 257"#,
+                "workload[0]: priority: 257 does not fit in u8",
+            ),
+            (
+                String::new(),
+                "",
+                r#", "seed": 1e20"#,
+                "workload[0]: seed: expected a nonnegative integer, got 100000000000000000000",
+            ),
+        ] {
+            let err = parse(&cluster, pool, tenant).unwrap_err();
+            assert_eq!(err, want);
+        }
+        // The largest values that fit still parse.
+        let ok = parse("", r#""replicas": 1,"#, r#", "priority": 255"#).expect("fits");
+        assert_eq!(ok.workload[0].priority, 255);
     }
 
     #[test]

@@ -7,19 +7,27 @@
 //!
 //! Run with: `cargo run --example online_serving`
 
-use pimphony::system::{RouterKind, SchedulingPolicy};
-use pimphony::workload::{Dataset, TraceBuilder};
-use pimphony::OrchestratorBuilder;
+use pimphony::system::{RouterKind, SchedulingPolicy, ServingReport, Techniques};
+use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec};
+use pimphony::{Orchestrator, Scenario, TenantSpec};
 
-fn main() {
-    let model = pimphony::llm_model::LLM_7B_32K;
+/// Serves the trace `spec` describes.
+fn serve(spec: &Scenario) -> Result<ServingReport, String> {
+    let (orchestrator, trace) = Orchestrator::from_scenario(spec)?;
+    Ok(orchestrator.serve(&trace))
+}
+
+fn main() -> Result<(), String> {
     // 12 req/s of bursty traffic with production-like response spread.
-    let trace = TraceBuilder::new(Dataset::QmSum)
-        .seed(7)
-        .requests(64)
-        .decode_range(16, 96)
-        .bursty(12.0, 2.5)
-        .build();
+    let bursty = |seed, requests, rate| {
+        TenantSpec::new("bursty", Dataset::QmSum)
+            .seed(seed)
+            .requests(requests)
+            .decode(DecodeSpec::Uniform(16, 96))
+            .arrivals(ArrivalProcess::Bursty { rate, cv: 2.5 })
+    };
+    let spec = Scenario::new("LLM-7B-32K").tenant(bursty(7, 64, 12.0));
+    let trace = spec.materialize()?.trace;
     println!(
         "workload: {} requests over {:.1}s (~{:.1} req/s), mean context {:.0} tokens",
         trace.len(),
@@ -32,18 +40,27 @@ fn main() {
         "\n{:<22} {:>9} {:>8} {:>26} {:>10}",
         "configuration", "tok/s", "batch", "TTFT p50/p95/p99 (s)", "TPOT p50"
     );
-    for (name, policy, full) in [
-        ("wave (closed-world)", SchedulingPolicy::Wave, true),
-        ("continuous, baseline", SchedulingPolicy::Continuous, false),
-        ("continuous, PIMphony", SchedulingPolicy::Continuous, true),
+    for (name, policy, techniques) in [
+        (
+            "wave (closed-world)",
+            SchedulingPolicy::Wave,
+            Techniques::pimphony(),
+        ),
+        (
+            "continuous, baseline",
+            SchedulingPolicy::Continuous,
+            Techniques::baseline(),
+        ),
+        (
+            "continuous, PIMphony",
+            SchedulingPolicy::Continuous,
+            Techniques::pimphony(),
+        ),
     ] {
-        let mut builder = OrchestratorBuilder::new(model).pim_only().policy(policy);
-        builder = if full {
-            builder.full_pimphony()
-        } else {
-            builder.baseline()
-        };
-        let r = builder.build().serve(&trace);
+        let mut s = spec.clone();
+        s.techniques = techniques;
+        s.policies.scheduling = policy;
+        let r = serve(&s)?;
         let l = &r.latency;
         println!(
             "{:<22} {:>9.1} {:>8.1} {:>10.3}/{:>6.3}/{:>6.3} {:>10.4}",
@@ -62,26 +79,17 @@ fn main() {
     // past the cluster's capacity, so bursts genuinely queue. Parallel
     // replica simulation (threads) never changes the numbers, only
     // wall-clock.
-    let cluster_trace = TraceBuilder::new(Dataset::QmSum)
-        .seed(2026)
-        .requests(160)
-        .decode_range(16, 96)
-        .bursty(16.0, 2.5)
-        .build();
+    let mut cluster = Scenario::new("LLM-7B-32K").tenant(bursty(2026, 160, 16.0));
+    cluster.cluster.tp = 2;
+    cluster.cluster.threads = 0; // one thread per CPU; results are identical anyway
+    cluster.policies.scheduling = SchedulingPolicy::Continuous;
     println!(
         "\n{:<22} {:>9} {:>26} {:>10}",
         "4-replica cluster", "tok/s", "TTFT p50/p95/p99 (s)", "fairness"
     );
     for router in RouterKind::ALL {
-        let r = OrchestratorBuilder::new(model)
-            .pim_only()
-            .parallel(2, 1)
-            .full_pimphony()
-            .continuous_batching()
-            .router(router)
-            .threads(0) // one thread per CPU; results are identical anyway
-            .build()
-            .serve(&cluster_trace);
+        cluster.policies.router = router;
+        let r = serve(&cluster)?;
         let l = &r.latency;
         println!(
             "{:<22} {:>9.1} {:>10.3}/{:>6.3}/{:>6.3} {:>10.3}",
@@ -98,4 +106,5 @@ fn main() {
          join-shortest-queue and least-loaded route each arrival on live \
          replica state, which shows up in the TTFT tail on bursty traffic."
     );
+    Ok(())
 }

@@ -3,33 +3,31 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use pimphony::workload::{Dataset, TraceBuilder};
-use pimphony::OrchestratorBuilder;
+use pimphony::system::Techniques;
+use pimphony::workload::{Dataset, DecodeSpec};
+use pimphony::{Orchestrator, Scenario, TenantSpec};
 
-fn main() {
-    // A QMSum-like workload: 32 requests, 64 generated tokens each.
-    let trace = TraceBuilder::new(Dataset::QmSum)
-        .seed(1)
-        .requests(32)
-        .decode_len(64)
-        .build();
+fn main() -> Result<(), String> {
+    // A QMSum-like workload: 32 requests, 64 generated tokens each, on
+    // the PIM-only system with all three PIMphony techniques.
+    let phony = Scenario::new("LLM-7B-32K").tenant(
+        TenantSpec::new("qmsum", Dataset::QmSum)
+            .seed(1)
+            .requests(32)
+            .decode(DecodeSpec::Fixed(64)),
+    );
+    let mut baseline = phony.clone();
+    baseline.techniques = Techniques::baseline();
+
+    let (orchestrator, trace) = Orchestrator::from_scenario(&phony)?;
     println!(
         "workload: {} requests, mean context {:.0} tokens",
         trace.len(),
         trace.mean_context()
     );
-
-    let baseline = OrchestratorBuilder::new(pimphony::llm_model::LLM_7B_32K)
-        .pim_only()
-        .baseline()
-        .build();
-    let phony = OrchestratorBuilder::new(pimphony::llm_model::LLM_7B_32K)
-        .pim_only()
-        .full_pimphony()
-        .build();
-
-    let rb = baseline.serve(&trace);
-    let rp = phony.serve(&trace);
+    let rp = orchestrator.serve(&trace);
+    let (orchestrator, trace) = Orchestrator::from_scenario(&baseline)?;
+    let rb = orchestrator.serve(&trace);
     println!(
         "\n{:<12} {:>12} {:>10} {:>10}",
         "config", "tokens/s", "MAC util", "capacity"
@@ -47,4 +45,5 @@ fn main() {
         "\nspeedup: {:.2}x",
         rp.tokens_per_second / rb.tokens_per_second
     );
+    Ok(())
 }

@@ -5,7 +5,7 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, RouterKind, SchedulingPolicy, SystemConfig, Techniques,
+    Cluster, Evaluator, PolicySpec, RouterKind, SchedulingPolicy, SystemConfig, Techniques,
 };
 use pimphony::workload::{Dataset, Trace, TraceBuilder};
 
@@ -69,17 +69,21 @@ fn wave_cluster_is_thread_count_invariant() {
     assert_eq!(run(1), run(4));
 }
 
-/// The `Engine` facade and an explicit round-robin cluster are the same
-/// path (the facade delegates), so their reports must be identical for
-/// both policies — a guard against the two ever drifting apart. (True
-/// fidelity oracles live elsewhere: `run_trace_wave_reference` for the
-/// wave policy, and the golden pin below for the continuous one.)
+/// `Evaluator::run_trace` and an explicit round-robin cluster are the
+/// same path (`run_trace` delegates), so their reports must be
+/// identical for both policies — a guard against the two ever drifting
+/// apart. (True fidelity oracles live elsewhere:
+/// `run_trace_wave_reference` for the wave policy, and the golden pin
+/// below for the continuous one.)
 #[test]
-fn engine_facade_equals_explicit_round_robin_cluster() {
-    let e = cluster_eval();
+fn run_trace_equals_explicit_round_robin_cluster() {
     for policy in [SchedulingPolicy::Wave, SchedulingPolicy::Continuous] {
+        let e = cluster_eval().with_policies(PolicySpec {
+            scheduling: policy,
+            ..PolicySpec::default()
+        });
         let trace = bursty_trace(7);
-        let engine = pimphony::system::Engine::new(&e, policy).run(&trace);
+        let engine = e.run_trace(&trace);
         let cluster = Cluster::new(&e, policy)
             .with_threads(4)
             .run(&trace, RouterKind::RoundRobin.build().as_mut());
@@ -115,7 +119,7 @@ fn wave_round_robin_matches_reference_on_out_of_order_traces() {
     ]
     .into_iter()
     .collect();
-    let engine = pimphony::system::Engine::new(&e, SchedulingPolicy::Wave).run(&trace);
+    let engine = e.run_trace(&trace);
     let reference = e.run_trace_wave_reference(&trace);
     assert_eq!(engine.tokens, reference.tokens);
     assert_eq!(engine.waves, reference.waves);

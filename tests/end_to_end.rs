@@ -4,8 +4,8 @@
 use pimphony::llm_model::{LLM_72B_128K_GQA, LLM_7B_128K_GQA, LLM_7B_32K};
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{Evaluator, GpuSystem, SystemConfig, Techniques};
-use pimphony::workload::{Dataset, TraceBuilder};
-use pimphony::OrchestratorBuilder;
+use pimphony::workload::{Dataset, DecodeSpec, TraceBuilder};
+use pimphony::{Orchestrator, Scenario, TenantSpec};
 
 fn trace(d: Dataset, n: usize) -> pimphony::workload::Trace {
     TraceBuilder::new(d)
@@ -94,10 +94,14 @@ fn every_factorization_serves_all_tokens() {
 #[test]
 fn orchestrator_matches_raw_evaluator() {
     let t = trace(Dataset::QmSum, 6);
-    let o = OrchestratorBuilder::new(LLM_7B_32K)
-        .pim_only()
-        .full_pimphony()
-        .build();
+    let spec = Scenario::new(LLM_7B_32K.name).tenant(
+        TenantSpec::new("qmsum", Dataset::QmSum)
+            .seed(77)
+            .requests(6)
+            .decode(DecodeSpec::Fixed(16)),
+    );
+    let (o, spec_trace) = Orchestrator::from_scenario(&spec).expect("materialize");
+    assert_eq!(spec_trace.requests(), t.requests(), "same trace either way");
     let e = Evaluator::new(
         SystemConfig::cent_for(&LLM_7B_32K),
         LLM_7B_32K,
@@ -105,8 +109,7 @@ fn orchestrator_matches_raw_evaluator() {
     );
     let a = o.serve(&t);
     let b = e.run_trace(&t);
-    assert_eq!(a.tokens, b.tokens);
-    assert!((a.tokens_per_second - b.tokens_per_second).abs() < 1e-9);
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -11,8 +11,8 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, PreemptionPolicy, RouterKind, SchedulingPolicy, ServingReport,
-    SystemConfig, Techniques,
+    Cluster, Evaluator, PolicySpec, PreemptionPolicy, PrefillConfig, RouterKind, SchedulingPolicy,
+    ServingReport, SystemConfig, Techniques,
 };
 use pimphony::workload::{Dataset, Trace, TraceBuilder};
 
@@ -30,17 +30,19 @@ fn base_eval() -> Evaluator {
 /// The `preemption_sweep` configuration: chunked prefill, scaled KV
 /// pool, one of the preemption policies.
 fn pressure_eval(policy: PreemptionPolicy, factor: f64) -> Evaluator {
-    base_eval()
-        .with_chunked_prefill(PREFILL_CHUNK)
-        .with_kv_capacity_factor(factor)
-        .with_preemption(policy)
+    base_eval().with_policies(PolicySpec {
+        preemption: policy,
+        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+        kv_capacity_factor: factor,
+        ..PolicySpec::default()
+    })
 }
 
 /// The seeded two-class bursty trace of the `preemption_sweep`
 /// experiment: interactive (1) vs batch (0) traffic at 0.8× the
 /// full-capacity prefill-inclusive anchor rate.
 fn priority_trace() -> Trace {
-    let eval = base_eval().with_chunked_prefill(PREFILL_CHUNK);
+    let eval = pressure_eval(PreemptionPolicy::None, 1.0);
     let closed = TraceBuilder::new(Dataset::QmSum)
         .seed(2026)
         .requests(96)
@@ -68,9 +70,11 @@ fn run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> Ser
 /// eviction machinery must be invisible until asked for.
 #[test]
 fn none_policy_is_bit_exact_with_pr3_golden_pin() {
-    let e = base_eval()
-        .with_preemption(PreemptionPolicy::None)
-        .with_kv_capacity_factor(1.0);
+    let e = base_eval().with_policies(PolicySpec {
+        preemption: PreemptionPolicy::None,
+        kv_capacity_factor: 1.0,
+        ..PolicySpec::default()
+    });
     let trace = TraceBuilder::new(Dataset::QmSum)
         .seed(2026)
         .requests(160)

@@ -9,8 +9,8 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, PreemptionPolicy, RouterKind, Scenario, SchedulingPolicy, ServingReport,
-    SystemConfig, Techniques, TenantSpec,
+    Cluster, Evaluator, PolicySpec, PreemptionPolicy, PrefillConfig, RouterKind, Scenario,
+    SchedulingPolicy, ServingReport, SystemConfig, Techniques, TenantSpec,
 };
 use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec, Trace, TraceBuilder};
 
@@ -53,6 +53,15 @@ fn pinned_scenario() -> Scenario {
     )
 }
 
+/// Continuous scheduling with chunked prefill, the rest at defaults.
+fn prefill_policies() -> PolicySpec {
+    PolicySpec {
+        scheduling: SchedulingPolicy::Continuous,
+        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+        ..PolicySpec::default()
+    }
+}
+
 fn direct_run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> ServingReport {
     Cluster::new(eval, eval.scheduling_policy())
         .with_threads(threads)
@@ -77,7 +86,10 @@ fn continuous_golden_pin_through_scenario() {
     let m = pinned_scenario().materialize().expect("materialize");
     let r = m.run();
     let direct = direct_run(
-        &base_eval().with_policy(SchedulingPolicy::Continuous),
+        &base_eval().with_policies(PolicySpec {
+            scheduling: SchedulingPolicy::Continuous,
+            ..PolicySpec::default()
+        }),
         &pinned_trace(),
         RouterKind::RoundRobin,
         4,
@@ -132,11 +144,11 @@ fn wave_golden_pin_through_scenario() {
 }
 
 /// Prefill golden configuration: chunked prefill through the spec path
-/// equals the hand-assembled `with_chunked_prefill` path byte-for-byte.
+/// equals the hand-assembled chunked-prefill path byte-for-byte.
 #[test]
 fn prefill_configuration_through_scenario() {
     let mut s = pinned_scenario();
-    s.policies.prefill = pimphony::system::PrefillConfig::chunked(PREFILL_CHUNK);
+    s.policies.prefill = PrefillConfig::chunked(PREFILL_CHUNK);
     s.policies.router = RouterKind::LeastPrefill;
     s.workload[0].requests = 32;
     let r = s.materialize().expect("materialize").run();
@@ -146,9 +158,7 @@ fn prefill_configuration_through_scenario() {
         .decode_range(16, 96)
         .bursty(16.0, 2.5)
         .build();
-    let eval = base_eval()
-        .with_policy(SchedulingPolicy::Continuous)
-        .with_chunked_prefill(PREFILL_CHUNK);
+    let eval = base_eval().with_policies(prefill_policies());
     let direct = direct_run(&eval, &trace, RouterKind::LeastPrefill, 4);
     assert_eq!(r, direct);
     assert!(r.prefill_tokens > 0);
@@ -164,7 +174,7 @@ fn preemption_configuration_through_scenario_never_evicts_single_tenant() {
     let mut s = pinned_scenario();
     s.policies.preemption = PreemptionPolicy::EvictPause;
     s.policies.kv_capacity_factor = 0.5;
-    s.policies.prefill = pimphony::system::PrefillConfig::chunked(PREFILL_CHUNK);
+    s.policies.prefill = PrefillConfig::chunked(PREFILL_CHUNK);
     s.policies.router = RouterKind::JoinShortestQueue;
     s.workload[0].requests = 48;
     s.workload[0].arrivals = ArrivalProcess::Bursty { rate: 1.0, cv: 2.5 };
@@ -177,11 +187,11 @@ fn preemption_configuration_through_scenario_never_evicts_single_tenant() {
         .bursty(1.0, 2.5)
         .build();
     let mk = |policy| {
-        base_eval()
-            .with_policy(SchedulingPolicy::Continuous)
-            .with_chunked_prefill(PREFILL_CHUNK)
-            .with_kv_capacity_factor(0.5)
-            .with_preemption(policy)
+        base_eval().with_policies(PolicySpec {
+            preemption: policy,
+            kv_capacity_factor: 0.5,
+            ..prefill_policies()
+        })
     };
     let direct = direct_run(
         &mk(PreemptionPolicy::EvictPause),
