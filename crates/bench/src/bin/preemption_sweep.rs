@@ -24,8 +24,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin preemption_sweep`
 //! (`-- --tiny` for the CI smoke configuration, `--json <path>` for
-//! machine-readable results, `--scenario <file.json>` to run a
-//! declarative scenario spec instead).
+//! machine-readable results).
 
 use bench::cli::{BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use llm_model::LLM_7B_32K;
@@ -41,7 +40,8 @@ const PREFILL_CHUNK: u64 = PrefillConfig::DEFAULT_CHUNK;
 /// Interactive (1) vs batch (0) traffic mix.
 const PRIORITY_LEVELS: u8 = 2;
 /// The interactive tenant's TTFT target of the goodput comparison
-/// (matches `goodput_frontier` and the checked-in SLO scenarios).
+/// (matches `studies/goodput_frontier.json` and the checked-in SLO
+/// scenarios).
 const SLO_TTFT: f64 = 60.0;
 /// KV capacity of the goodput comparison — pressured enough that
 /// eviction policy choices are visible in who meets the deadline.
@@ -58,7 +58,7 @@ fn bursty_trace(requests: usize, rate: f64) -> Trace {
 }
 
 /// The two-tenant SLO scenario of the goodput comparison (the
-/// `goodput_frontier` shape): one interactive tenant with a TTFT
+/// `goodput_frontier` study shape): one interactive tenant with a TTFT
 /// deadline, one batch tenant without, on the same 4-replica cluster,
 /// with the KV pool shrunk to [`GOODPUT_KV_FACTOR`] so the preemption
 /// policy decides who holds memory when the deadline clock is running.
@@ -107,10 +107,7 @@ fn class_p99(r: &ServingReport, priority: u8) -> f64 {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    if bench::cli::maybe_run_scenario("preemption_sweep", &args) {
-        return;
-    }
+    let args = BenchArgs::parse(&["--tiny", "--json"]);
     let tiny = args.tiny;
     let json_path = args.json;
     let model = LLM_7B_32K;
@@ -210,14 +207,15 @@ fn main() {
         }
     }
 
-    // Goodput comparison: the same three policies judged the way
-    // `goodput_frontier` judges routers — in-SLO tokens per second on a
-    // two-tenant (interactive-with-deadline + batch) scenario at 1.2×
-    // capacity with the KV pool halved. The wasted-work columns above
-    // say what eviction *costs*; this says what it *buys*: which
-    // policy's victims were the right ones when a deadline is the
-    // yardstick. Rows are new names (`goodput/...`), so the historical
-    // sweep rows above stay byte-identical in the snapshot.
+    // Goodput comparison: the same three policies judged the way the
+    // `goodput_frontier` study judges routers — in-SLO tokens per
+    // second on a two-tenant (interactive-with-deadline + batch)
+    // scenario at 1.2× capacity with the KV pool halved. The
+    // wasted-work columns above say what eviction *costs*; this says
+    // what it *buys*: which policy's victims were the right ones when
+    // a deadline is the yardstick. Rows are new names (`goodput/...`),
+    // so the historical sweep rows above stay byte-identical in the
+    // snapshot.
     let goodput_rate = capacity_rps * 0.6; // ×2 tenants = 1.2× capacity
     println!(
         "\nGoodput comparison: 2 tenants × {requests} requests at 1.2x capacity, \
@@ -246,22 +244,19 @@ fn main() {
             int.tokens,
             int.slo_attainment * 100.0,
         );
-        let name = format!("goodput/{policy}");
-        let mut row = bench::serving_row(&name, goodput_rate * 2.0, &r);
-        bench::push_row_field(&mut row, "goodput", bench::json::Json::num(r.goodput()));
-        bench::push_row_field(&mut row, "shed", bench::json::Json::num(r.shed as f64));
-        rows.push(row);
-        for t in &r.latency_by_tenant {
-            let mut trow =
-                bench::cli::tenant_row(&format!("{name}/{}", m.tenant_name(t.tenant)), t);
-            let goodput = if r.seconds > 0.0 {
-                t.goodput_tokens as f64 / r.seconds
-            } else {
-                0.0
-            };
-            bench::push_row_field(&mut trow, "goodput", bench::json::Json::num(goodput));
-            rows.push(trow);
-        }
+        let rows_spec = bench::cli::RowSpec {
+            fields: vec!["goodput".to_string(), "shed".to_string()],
+            tenants: m.tenant_names.clone(),
+            tenant_fields: vec!["goodput".to_string()],
+            pools: false,
+        };
+        rows.extend(bench::cli::report_rows(
+            &format!("goodput/{policy}"),
+            goodput_rate * 2.0,
+            &m,
+            &r,
+            &rows_spec,
+        ));
     }
 
     println!(

@@ -20,8 +20,8 @@
 //! capacity so queueing stays mild and the prefill share is legible.
 //!
 //! Run with: `cargo run --release -p bench --bin prefill_sweep`
-//! (`-- --tiny` for the CI smoke configuration, `-- --scenario
-//! <file.json>` to run a declarative scenario spec instead).
+//! (`-- --tiny` for the CI smoke configuration, `--json <path>` for
+//! machine-readable results).
 
 use bench::cli::{BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use llm_model::LLM_7B_32K;
@@ -71,10 +71,7 @@ fn capacity_rps(eval: &Evaluator, stats: DatasetStats, requests: usize) -> f64 {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    if bench::cli::maybe_run_scenario("prefill_sweep", &args) {
-        return;
-    }
+    let args = BenchArgs::parse(&["--tiny", "--json"]);
     let tiny = args.tiny;
     let json_path = args.json;
     let mut rows = Vec::new();

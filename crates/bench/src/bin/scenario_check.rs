@@ -21,21 +21,16 @@ use bench::cli::{self, BenchArgs};
 use system::Scenario;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let canonicalize = args.rest.iter().any(|a| a == "--canonicalize");
-    let files: Vec<&String> = args
-        .rest
-        .iter()
-        .filter(|a| *a != "--canonicalize")
-        .collect();
+    let args = BenchArgs::parse(&["--json", "--canonicalize"]);
+    let files = &args.rest;
     if files.is_empty() {
         eprintln!("usage: scenario_check [--canonicalize] <scenario.json>... [--json <out.json>]");
         std::process::exit(2);
     }
     let mut rows = Vec::new();
     let mut failures = 0usize;
-    for path in &files {
-        if canonicalize {
+    for path in files {
+        if args.canonicalize {
             match Scenario::from_file(path) {
                 Ok(s) => {
                     std::fs::write(path, s.to_pretty())

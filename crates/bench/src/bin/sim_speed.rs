@@ -8,8 +8,11 @@
 //! alone would couple the row to the scenario size; simulated-req/s is
 //! the size-independent rate the regression gate can pin.
 //!
-//! Switches beyond the shared set (`--tiny`, `--json`, `--scenario`):
+//! Switches:
 //!
+//! * `--scenario <file.json>` — the spec to time (default
+//!   `scenarios/perf/sim_speed_100k.json`).
+//! * `--json <path>` — write the timing row.
 //! * `--threads N` — override the spec's simulation thread count
 //!   (results are byte-identical whatever the count; only the wall
 //!   clock moves).
@@ -30,7 +33,13 @@ const DEFAULT_SCENARIO: &str = "scenarios/perf/sim_speed_100k.json";
 const TINY_DIVISOR: usize = 64;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[
+        "--tiny",
+        "--json",
+        "--scenario",
+        "--threads",
+        "--check-determinism",
+    ]);
     let path = args
         .scenario
         .clone()
@@ -44,10 +53,9 @@ fn main() {
             t.requests = (t.requests / TINY_DIVISOR).max(1);
         }
     }
-    if let Some(n) = flag_value(&args.rest, "--threads") {
+    if let Some(n) = args.threads {
         scenario.cluster.threads = n;
     }
-    let check_determinism = args.rest.iter().any(|a| a == "--check-determinism");
 
     let mut m = scenario.materialize().unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
@@ -84,7 +92,7 @@ fn main() {
         report.seconds, report.tokens_per_second,
     );
 
-    if check_determinism {
+    if args.check_determinism {
         m.threads = 1;
         let (sequential, seq_wall) = timed_run(&m);
         assert_eq!(
@@ -122,12 +130,4 @@ fn timed_run(m: &Materialized) -> (ServingReport, f64) {
     let t0 = Instant::now();
     let report = m.run();
     (report, t0.elapsed().as_secs_f64())
-}
-
-/// The integer following `flag` in the leftover arguments, if present.
-fn flag_value(rest: &[String], flag: &str) -> Option<usize> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

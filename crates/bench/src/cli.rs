@@ -1,21 +1,27 @@
-//! Shared command-line conventions of the serving bench binaries.
+//! Shared command-line conventions and row emitters of the bench
+//! binaries.
 //!
-//! Every serving bin (`latency_curve`, `router_compare`,
-//! `prefill_sweep`, `preemption_sweep`) historically re-implemented the
-//! same argument scanning: `--tiny` for the CI smoke configuration,
-//! `--json <path>` for machine-readable rows, `--decode-only` for the
-//! historical TTFT convention. [`BenchArgs::parse`] centralizes that,
-//! and adds the `--scenario <file.json>` switch: instead of the bin's
-//! built-in sweep, load a declarative [`Scenario`] spec
-//! (`system::scenario`, checked-in examples under `scenarios/`), run it
-//! end-to-end, and report per-tenant latency, SLO attainment, and Jain
-//! tenant fairness ([`run_scenario_file`]).
+//! [`BenchArgs::parse`] scans the switches every binary shares
+//! (`--tiny` for the CI smoke configuration, `--json <path>` for
+//! machine-readable rows, `--scenario`, `--threads`, ...). Each binary
+//! declares the switches it accepts, so a mistyped one is an error
+//! (exit 2) rather than a silently ignored argument.
 //!
-//! The standard sweep shape (seed, decode range) shared by the serving
-//! bins also lives here so their load axes stay comparable.
+//! The row emitters turn one [`ServingReport`] into the
+//! machine-readable rows the regression gate pins: [`report_rows`]
+//! builds the aggregate, tenant and pool rows a [`RowSpec`] asks for,
+//! and [`ROW_FIELDS`] / [`TENANT_FIELDS`] are the one registry of
+//! derived fields (goodput, prefix hit rate, transfer accounting, ...)
+//! shared by `scenario_check` ([`scenario_rows`]), the `study` runner
+//! ([`crate::study`]) and `preemption_sweep`.
+//!
+//! The standard sweep shape (seed, decode range) shared by the
+//! remaining hand-written sweeps (`prefill_sweep`, `preemption_sweep`)
+//! also lives here; the checked-in `studies/*.json` use the same
+//! values.
 
 use crate::json::Json;
-use crate::serving_row;
+use crate::{push_row_field, serving_row};
 use system::{
     Materialized, RouterKind, Scenario, ServingReport, SheddingPolicy, TenantLatency, VictimOrder,
 };
@@ -27,62 +33,74 @@ pub const DECODE_LO: u64 = 16;
 /// The shared decode-budget upper bound of the serving sweeps.
 pub const DECODE_HI: u64 = 96;
 
-/// The switches shared by the serving bench binaries.
+/// The switches of the bench binaries. Each binary accepts the subset
+/// it names in [`BenchArgs::parse`].
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// `--tiny`: the CI smoke configuration (small request counts).
     pub tiny: bool,
-    /// `--decode-only`: the historical decode-only TTFT convention.
-    pub decode_only: bool,
     /// `--json <path>`: write machine-readable result rows.
     pub json: Option<String>,
-    /// `--scenario <file.json>`: run a declarative scenario spec
-    /// instead of the bin's built-in sweep.
+    /// `--scenario <file.json>`: the scenario spec to run.
     pub scenario: Option<String>,
+    /// `--threads <n>`: override the spec's simulation thread count.
+    pub threads: Option<usize>,
+    /// `--check-determinism`: re-run on one thread and compare.
+    pub check_determinism: bool,
+    /// `--canonicalize`: rewrite spec files to their canonical form.
+    pub canonicalize: bool,
     /// Positional arguments (e.g. `scenario_check`'s spec files).
     pub rest: Vec<String>,
 }
 
 impl BenchArgs {
-    /// Parses the process arguments.
-    pub fn parse() -> Self {
+    /// Parses the process arguments, accepting only the `accepted`
+    /// switches. An unknown switch, or a missing or malformed switch
+    /// value, exits the process with status 2 and a message naming it.
+    pub fn parse(accepted: &[&str]) -> Self {
+        Self::parse_from(std::env::args().skip(1), accepted).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Self::parse`] over an explicit argument list, returning the
+    /// error message instead of exiting.
+    fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        accepted: &[&str],
+    ) -> Result<Self, String> {
         let mut out = BenchArgs::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            if !a.starts_with("--") {
+                out.rest.push(a);
+                continue;
+            }
+            if !accepted.contains(&a.as_str()) {
+                return Err(format!(
+                    "unknown switch {a} (accepted: {})",
+                    accepted.join(", ")
+                ));
+            }
+            let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
             match a.as_str() {
                 "--tiny" => out.tiny = true,
-                "--decode-only" => out.decode_only = true,
-                "--json" => out.json = Some(args.next().expect("--json requires a path")),
-                "--scenario" => {
-                    out.scenario = Some(args.next().expect("--scenario requires a path"))
+                "--check-determinism" => out.check_determinism = true,
+                "--canonicalize" => out.canonicalize = true,
+                "--json" => out.json = Some(value()?),
+                "--scenario" => out.scenario = Some(value()?),
+                "--threads" => {
+                    let v = value()?;
+                    let n = v
+                        .parse()
+                        .map_err(|_| format!("--threads requires an integer, got {v:?}"))?;
+                    out.threads = Some(n);
                 }
-                _ => out.rest.push(a),
+                _ => return Err(format!("switch {a} has no parser")),
             }
         }
-        out
-    }
-}
-
-/// If `--scenario <file>` was passed, runs the spec end-to-end —
-/// printing the per-tenant report and writing `--json` rows — and
-/// returns `true` so the bin can skip its built-in sweep. Exits the
-/// process with an error message on an invalid spec.
-pub fn maybe_run_scenario(bench: &'static str, args: &BenchArgs) -> bool {
-    let Some(path) = &args.scenario else {
-        return false;
-    };
-    match run_scenario_file(path) {
-        Ok((m, report)) => {
-            if let Some(json_path) = &args.json {
-                let stem = file_stem(path);
-                crate::write_bench_json(json_path, bench, scenario_rows(&stem, &m, &report));
-            }
-            true
-        }
-        Err(e) => {
-            eprintln!("--scenario {path}: {e}");
-            std::process::exit(1);
-        }
+        Ok(out)
     }
 }
 
@@ -149,76 +167,139 @@ pub fn print_scenario_report(m: &Materialized, r: &ServingReport) {
     }
 }
 
-/// Machine-readable rows of a scenario run: one aggregate
-/// [`serving_row`] named `stem`, plus one tenant row per tenant named
-/// `stem/tenant-name` (TTFT percentiles, goodput tokens, SLO
-/// attainment) — the rows the regression gate pins.
-pub fn scenario_rows(stem: &str, m: &Materialized, r: &ServingReport) -> Vec<Json> {
-    let rate = m.trace.offered_rate().unwrap_or(0.0);
-    let mut aggregate = serving_row(stem, rate, r);
-    // Prefix-cache counters ride along only when the scenario exercises
-    // them, so rows of cache-less scenarios stay byte-identical to the
-    // pre-paged-KV snapshot.
-    if r.prefix_cache_hits > 0 || r.pages_evicted > 0 {
-        crate::push_row_field(
-            &mut aggregate,
-            "prefix_cache_hits",
-            Json::num(r.prefix_cache_hits as f64),
-        );
-        crate::push_row_field(
-            &mut aggregate,
-            "prefix_hit_tokens",
-            Json::num(r.prefix_hit_tokens as f64),
-        );
-        crate::push_row_field(
-            &mut aggregate,
-            "pages_evicted",
-            Json::num(r.pages_evicted as f64),
-        );
+/// Which rows, and which derived fields on them, one serving run
+/// emits (see [`report_rows`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowSpec {
+    /// Derived fields appended to the aggregate row, in order (names
+    /// from [`ROW_FIELDS`]).
+    pub fields: Vec<String>,
+    /// Tenants (by name) that get a tenant row.
+    pub tenants: Vec<String>,
+    /// Derived fields appended to each tenant row ([`TENANT_FIELDS`]).
+    pub tenant_fields: Vec<String>,
+    /// Whether each pool of a pooled run gets a pool row.
+    pub pools: bool,
+}
+
+/// The machine-readable rows of one serving run: the aggregate
+/// [`serving_row`] named `name` with the spec's derived fields, then a
+/// [`tenant_row`] `name/tenant` per requested tenant (in report
+/// order), then a [`pool_row`] `name/pool/pool-name` per pool if asked.
+pub fn report_rows(
+    name: &str,
+    rate: f64,
+    m: &Materialized,
+    r: &ServingReport,
+    spec: &RowSpec,
+) -> Vec<Json> {
+    let mut aggregate = serving_row(name, rate, r);
+    for field in &spec.fields {
+        if let Some(v) = registry_entry(ROW_FIELDS, field).and_then(|f| f(m, r)) {
+            push_row_field(&mut aggregate, field, Json::num(v));
+        }
     }
-    // Goodput and shed counters ride along only when an SLO-native
-    // policy is armed, so rows of pre-SLO scenarios stay byte-identical
-    // to the historical snapshot.
+    let mut rows = vec![aggregate];
+    for t in &r.latency_by_tenant {
+        let tenant = m.tenant_name(t.tenant);
+        if !spec.tenants.contains(&tenant) {
+            continue;
+        }
+        let mut row = tenant_row(&format!("{name}/{tenant}"), t);
+        for field in &spec.tenant_fields {
+            if let Some(f) = registry_entry(TENANT_FIELDS, field) {
+                push_row_field(&mut row, field, Json::num(f(r, t)));
+            }
+        }
+        rows.push(row);
+    }
+    if spec.pools {
+        for p in &r.per_pool {
+            rows.push(pool_row(&format!("{name}/pool/{}", p.name), p));
+        }
+    }
+    rows
+}
+
+/// A derived aggregate-row field: its value for a run, or `None` when
+/// the run does not expose it.
+pub type RowField = fn(&Materialized, &ServingReport) -> Option<f64>;
+
+/// The registry of derived aggregate-row fields, by name. The
+/// KV-transfer fields exist only when the run reports pools
+/// (`per_pool` nonempty), so colocated rows stay byte-identical to the
+/// pre-disaggregation snapshot.
+pub const ROW_FIELDS: &[(&str, RowField)] = &[
+    ("goodput", |_, r| Some(r.goodput())),
+    ("shed", |_, r| Some(r.shed as f64)),
+    ("prefix_cache_hits", |_, r| Some(r.prefix_cache_hits as f64)),
+    ("prefix_hit_tokens", |_, r| Some(r.prefix_hit_tokens as f64)),
+    // Fraction of offered prompt tokens served from the prefix cache.
+    ("prefix_hit_rate", |_, r| {
+        Some(match r.prefill_tokens + r.prefix_hit_tokens {
+            0 => 0.0,
+            offered => r.prefix_hit_tokens as f64 / offered as f64,
+        })
+    }),
+    ("pages_evicted", |_, r| Some(r.pages_evicted as f64)),
+    ("kv_capacity_factor", |m, _| {
+        Some(m.evaluator.policies().kv_capacity_factor)
+    }),
+    ("kv_transferred_bytes", |_, r| {
+        (!r.per_pool.is_empty()).then_some(r.kv_transferred_bytes as f64)
+    }),
+    ("transfer_seconds", |_, r| {
+        (!r.per_pool.is_empty()).then_some(r.transfer_seconds)
+    }),
+];
+
+/// A derived tenant-row field: its value for one tenant of a run.
+pub type TenantField = fn(&ServingReport, &TenantLatency) -> f64;
+
+/// The registry of derived tenant-row fields, by name: `goodput` is
+/// the tenant's in-SLO tokens per second of the run.
+pub const TENANT_FIELDS: &[(&str, TenantField)] = &[("goodput", |r, t| {
+    if r.seconds > 0.0 {
+        t.goodput_tokens as f64 / r.seconds
+    } else {
+        0.0
+    }
+})];
+
+/// The entry named `name` of a field registry.
+fn registry_entry<F: Copy>(registry: &[(&str, F)], name: &str) -> Option<F> {
+    registry.iter().find(|(n, _)| *n == name).map(|(_, f)| *f)
+}
+
+/// Machine-readable rows of a scenario run, named by the spec's file
+/// stem: the aggregate row, a row per tenant and a row per pool. The
+/// optional counters ride along only when the run exercises them, so
+/// rows of scenarios without the feature stay byte-identical to the
+/// historical snapshot.
+pub fn scenario_rows(stem: &str, m: &Materialized, r: &ServingReport) -> Vec<Json> {
+    let mut fields = Vec::new();
+    if r.prefix_cache_hits > 0 || r.pages_evicted > 0 {
+        fields.extend(["prefix_cache_hits", "prefix_hit_tokens", "pages_evicted"]);
+    }
     let policies = m.evaluator.policies();
     let slo_native = m.router == RouterKind::SloAware
         || policies.shedding != SheddingPolicy::None
         || policies.victim_order != VictimOrder::RecentFirst;
     if slo_native {
-        crate::push_row_field(&mut aggregate, "goodput", Json::num(r.goodput()));
-        crate::push_row_field(&mut aggregate, "shed", Json::num(r.shed as f64));
+        fields.extend(["goodput", "shed"]);
     }
-    // KV-transfer counters ride along only when the pool structure is
-    // observable (`per_pool` nonempty), so rows of colocated scenarios
-    // stay byte-identical to the pre-disaggregation snapshot.
-    if !r.per_pool.is_empty() {
-        crate::push_row_field(
-            &mut aggregate,
-            "kv_transferred_bytes",
-            Json::num(r.kv_transferred_bytes as f64),
-        );
-        crate::push_row_field(
-            &mut aggregate,
-            "transfer_seconds",
-            Json::num(r.transfer_seconds),
-        );
-    }
-    let mut rows = vec![aggregate];
-    for t in &r.latency_by_tenant {
-        let mut row = tenant_row(&format!("{stem}/{}", m.tenant_name(t.tenant)), t);
-        if slo_native {
-            let goodput = if r.seconds > 0.0 {
-                t.goodput_tokens as f64 / r.seconds
-            } else {
-                0.0
-            };
-            crate::push_row_field(&mut row, "goodput", Json::num(goodput));
-        }
-        rows.push(row);
-    }
-    for p in &r.per_pool {
-        rows.push(pool_row(&format!("{stem}/pool/{}", p.name), p));
-    }
-    rows
+    fields.extend(["kv_transferred_bytes", "transfer_seconds"]);
+    let spec = RowSpec {
+        fields: fields.into_iter().map(String::from).collect(),
+        tenants: m.tenant_names.clone(),
+        tenant_fields: if slo_native {
+            vec!["goodput".to_string()]
+        } else {
+            Vec::new()
+        },
+        pools: true,
+    };
+    report_rows(stem, m.trace.offered_rate().unwrap_or(0.0), m, r, &spec)
 }
 
 /// One machine-readable row for a pool's share of a disaggregated run.
@@ -281,6 +362,34 @@ mod tests {
     fn file_stem_strips_directories_and_extension() {
         assert_eq!(file_stem("scenarios/two_tenant.json"), "two_tenant");
         assert_eq!(file_stem("plain"), "plain");
+    }
+
+    #[test]
+    fn bench_args_accept_only_declared_switches() {
+        let parse = |args: &[&str], accepted: &[&str]| {
+            BenchArgs::parse_from(args.iter().map(|a| a.to_string()), accepted)
+        };
+        let args = parse(
+            &["--tiny", "a.json", "--threads", "4", "--json", "out"],
+            &["--tiny", "--threads", "--json"],
+        )
+        .unwrap();
+        assert!(args.tiny);
+        assert_eq!(args.threads, Some(4));
+        assert_eq!(args.json.as_deref(), Some("out"));
+        assert_eq!(args.rest, ["a.json"]);
+        assert_eq!(
+            parse(&["--tnyi"], &["--tiny"]).unwrap_err(),
+            "unknown switch --tnyi (accepted: --tiny)"
+        );
+        assert_eq!(
+            parse(&["--threads", "x"], &["--threads"]).unwrap_err(),
+            "--threads requires an integer, got \"x\""
+        );
+        assert_eq!(
+            parse(&["--json"], &["--json"]).unwrap_err(),
+            "--json requires a value"
+        );
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! Shared helpers for the experiment binaries (`src/bin/fig*.rs`,
-//! `src/bin/table*.rs`) and Criterion benches that regenerate every table
-//! and figure of the PIMphony paper. See `EXPERIMENTS.md` for the index
-//! and paper-vs-measured record.
+//! Shared helpers for the experiment binaries and Criterion benches.
+//!
+//! * `src/bin/fig*.rs`, `src/bin/table*.rs` regenerate the tables and
+//!   figures of the PIMphony paper (README.md lists them);
+//! * `study` runs the serving sweeps written as data
+//!   (`studies/*.json`, see [`study`] and `docs/studies.md`);
+//! * `prefill_sweep` and `preemption_sweep` are the two serving sweeps
+//!   still written in Rust (their trace knobs have no spec key);
+//! * `scenario_check`, `sim_speed` and `check_regression` validate
+//!   specs, time the simulator and gate fresh rows against
+//!   `BENCH_serving.json`.
 
 pub use jsonio as json;
 
 pub mod cli;
 pub mod regression;
+pub mod study;
 
 use json::Json;
 use llm_model::ModelConfig;
@@ -17,13 +25,6 @@ use workload::{Dataset, Trace, TraceBuilder};
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// The path following a `--json` flag in the process arguments, if any
-/// (the shared machine-readable output switch of the bench binaries;
-/// serving bins parse the full switch set with [`cli::BenchArgs`]).
-pub fn json_arg() -> Option<String> {
-    cli::BenchArgs::parse().json
 }
 
 /// One machine-readable result row for a serving run: the identifying
@@ -86,12 +87,13 @@ pub struct MetricSink {
 }
 
 impl MetricSink {
-    /// Creates a sink for `bench`, reading `--json` from the process
+    /// Creates a sink for `bench`, reading `--json` — the only switch
+    /// the figure and table binaries accept — from the process
     /// arguments.
     pub fn new(bench: &'static str) -> Self {
         MetricSink {
             bench,
-            path: json_arg(),
+            path: cli::BenchArgs::parse(&["--json"]).json,
             rows: Vec::new(),
         }
     }
@@ -145,7 +147,7 @@ pub fn write_bench_json(path: &str, bench: &str, rows: Vec<Json>) {
 /// evaluator has it enabled, so online sweeps anchored on this rate use
 /// the same cost model they measure. Returns the closed-world report
 /// together with the capacity in requests/second. Shared by the serving
-/// binaries (`latency_curve`, `router_compare`, `prefill_sweep`) so
+/// sweeps (a study's `anchor`, `prefill_sweep`, `preemption_sweep`) so
 /// their load axes stay comparable.
 pub fn closed_world_capacity(eval: &Evaluator, trace: &Trace) -> (ServingReport, f64) {
     let closed = eval.run_trace(trace);

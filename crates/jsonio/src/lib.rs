@@ -83,6 +83,57 @@ impl Json {
         }
     }
 
+    /// Sets the value at an RFC 6901 JSON pointer (`/policies/router`,
+    /// `/workload/0/requests`; `~1` escapes `/`, `~0` escapes `~`).
+    /// Everything up to the last token must already resolve; the last
+    /// token replaces an existing object key or array element, or adds
+    /// a new object key. The empty pointer replaces the whole document.
+    pub fn set_pointer(&mut self, pointer: &str, value: Json) -> Result<(), String> {
+        if pointer.is_empty() {
+            *self = value;
+            return Ok(());
+        }
+        let tokens: Vec<String> = pointer
+            .strip_prefix('/')
+            .ok_or_else(|| format!("JSON pointer {pointer:?} must start with '/'"))?
+            .split('/')
+            .map(|t| t.replace("~1", "/").replace("~0", "~"))
+            .collect();
+        let nowhere = || format!("JSON pointer {pointer} resolves nowhere");
+        let (last, parents) = tokens.split_last().ok_or_else(nowhere)?;
+        let mut node = self;
+        for token in parents {
+            node = match node {
+                Json::Obj(pairs) => pairs
+                    .iter_mut()
+                    .find(|(k, _)| k == token)
+                    .map(|(_, v)| v)
+                    .ok_or_else(nowhere)?,
+                Json::Arr(items) => token
+                    .parse::<usize>()
+                    .ok()
+                    .and_then(|i| items.get_mut(i))
+                    .ok_or_else(nowhere)?,
+                _ => return Err(nowhere()),
+            };
+        }
+        match node {
+            Json::Obj(pairs) => match pairs.iter_mut().find(|(k, _)| k == last) {
+                Some((_, slot)) => *slot = value,
+                None => pairs.push((last.clone(), value)),
+            },
+            Json::Arr(items) => {
+                *last
+                    .parse::<usize>()
+                    .ok()
+                    .and_then(|i| items.get_mut(i))
+                    .ok_or_else(nowhere)? = value
+            }
+            _ => return Err(nowhere()),
+        }
+        Ok(())
+    }
+
     /// Serializes with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -383,6 +434,27 @@ mod tests {
         assert_eq!(arr[2].as_str(), Some("x"));
         assert_eq!(doc.get("n").unwrap().as_f64(), Some(-300.0));
         assert_eq!(doc.get("missing"), None);
+    }
+
+    #[test]
+    fn set_pointer_replaces_adds_and_rejects_dangling_paths() {
+        let mut doc = Json::parse(r#"{"a": {"b": [1, 2]}, "c~/d": 0}"#).unwrap();
+        doc.set_pointer("/a/b/1", Json::num(5.0)).unwrap();
+        doc.set_pointer("/a/new", Json::Bool(true)).unwrap();
+        doc.set_pointer("/c~0~1d", Json::Null).unwrap();
+        assert_eq!(
+            doc,
+            Json::parse(r#"{"a": {"b": [1, 5], "new": true}, "c~/d": null}"#).unwrap()
+        );
+        for dangling in ["/x/b", "/a/b/2", "/a/b/x", "/a/b/0/z", "a"] {
+            assert!(doc.set_pointer(dangling, Json::Null).is_err(), "{dangling}");
+        }
+        assert_eq!(
+            doc.set_pointer("/x/b", Json::Null).unwrap_err(),
+            "JSON pointer /x/b resolves nowhere"
+        );
+        doc.set_pointer("", Json::num(1.0)).unwrap();
+        assert_eq!(doc, Json::num(1.0));
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn cluster_eval() -> Evaluator {
     Evaluator::new(sys, pimphony::llm_model::LLM_7B_32K, Techniques::pimphony())
 }
 
-/// The bursty-gamma trace of the `router_compare` experiment: offered
+/// The bursty-gamma trace of the `router_compare` study: offered
 /// load just past the 4-replica capacity, so bursts genuinely queue.
 fn bursty_trace(seed: u64) -> Trace {
     TraceBuilder::new(Dataset::QmSum)
