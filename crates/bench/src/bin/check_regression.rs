@@ -14,14 +14,22 @@
 //!
 //! CI runs the `--tiny` serving benches with `--json` and gates on the
 //! snapshot; the same two commands reproduce the gate locally with no
-//! network or services.
+//! network or services. An unreadable or malformed file exits with
+//! status 2, naming the file.
 
 use bench::json::Json;
 use bench::regression;
 
+/// Reports a bad input or output file and exits with status 2.
+fn fail(msg: String) -> ! {
+    eprintln!("check_regression: {msg}");
+    std::process::exit(2);
+}
+
 fn read_doc(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    Json::parse(&text).unwrap_or_else(|e| fail(format!("cannot parse {path}: {e}")))
 }
 
 fn main() {
@@ -35,7 +43,7 @@ fn main() {
                 .filter_map(|b| b.get("bench").and_then(Json::as_str))
                 .collect();
             std::fs::write(out, regression::merge_snapshot(benches.clone()).to_pretty())
-                .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+                .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
             println!(
                 "wrote snapshot {out} ({} benches: {})",
                 names.len(),

@@ -168,6 +168,13 @@ fn metric(row: &Json, key: &str) -> f64 {
     row.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
+/// The snapshot and fresh values of an optional metric, when both rows
+/// carry it.
+fn both(snap: &Json, fresh: &Json, key: &str) -> Option<(f64, f64)> {
+    let value = |row: &Json| row.get(key).and_then(Json::as_f64);
+    Some((value(snap)?, value(fresh)?))
+}
+
 /// Compares fresh bench documents against a snapshot document. Returns
 /// the per-row deltas and the list of violations (empty = gate green).
 /// A fresh row missing from the snapshot — or vice versa — is a
@@ -200,45 +207,11 @@ pub fn compare(snapshot: &Json, fresh: &[Json]) -> (Vec<RowDelta>, Vec<String>) 
                 metric(fresh_row, "tokens_per_second"),
             ),
             ttft_p99: (metric(snap_row, "ttft_p99"), metric(fresh_row, "ttft_p99")),
-            sim_requests_per_second: match (
-                snap_row
-                    .get("sim_requests_per_second")
-                    .and_then(Json::as_f64),
-                fresh_row
-                    .get("sim_requests_per_second")
-                    .and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            prefix_hit_tokens: match (
-                snap_row.get("prefix_hit_tokens").and_then(Json::as_f64),
-                fresh_row.get("prefix_hit_tokens").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            slo_attainment: match (
-                snap_row.get("slo_attainment").and_then(Json::as_f64),
-                fresh_row.get("slo_attainment").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            goodput: match (
-                snap_row.get("goodput").and_then(Json::as_f64),
-                fresh_row.get("goodput").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            kv_transferred_bytes: match (
-                snap_row.get("kv_transferred_bytes").and_then(Json::as_f64),
-                fresh_row.get("kv_transferred_bytes").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
+            sim_requests_per_second: both(snap_row, fresh_row, "sim_requests_per_second"),
+            prefix_hit_tokens: both(snap_row, fresh_row, "prefix_hit_tokens"),
+            slo_attainment: both(snap_row, fresh_row, "slo_attainment"),
+            goodput: both(snap_row, fresh_row, "goodput"),
+            kv_transferred_bytes: both(snap_row, fresh_row, "kv_transferred_bytes"),
         };
         if let Some(v) = delta.violation() {
             violations.push(v);

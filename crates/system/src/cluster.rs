@@ -236,8 +236,8 @@ impl SloAware {
 
 impl Default for SloAware {
     /// An uncalibrated router (no SLOs, zero prefill rate): every
-    /// arrival takes the memory-spreading arm. [`RouterKind::build`]
-    /// uses this; prefer [`SloAware::for_eval`] to route on real slack.
+    /// arrival takes the memory-spreading arm. Prefer
+    /// [`SloAware::for_eval`] to route on real slack.
     fn default() -> Self {
         SloAware {
             slos: Vec::new(),
@@ -330,27 +330,17 @@ impl RouterKind {
         }
     }
 
-    /// Instantiates the router (fresh state per run). [`SloAware`]
-    /// comes up uncalibrated here — no SLOs, zero prefill rate; use
-    /// [`Self::build_for`] when an evaluator is at hand.
-    pub fn build(&self) -> Box<dyn Router> {
+    /// Instantiates the router (fresh state per run) calibrated for
+    /// `eval`: [`SloAware`] receives the evaluator's tenant SLOs and
+    /// prefill rate; every other kind is stateless with respect to the
+    /// evaluator.
+    pub fn build_for(&self, eval: &Evaluator) -> Box<dyn Router> {
         match self {
             RouterKind::RoundRobin => Box::new(RoundRobin::default()),
             RouterKind::JoinShortestQueue => Box::new(JoinShortestQueue),
             RouterKind::LeastLoaded => Box::new(LeastLoaded),
             RouterKind::LeastPrefill => Box::new(LeastPrefill),
-            RouterKind::SloAware => Box::new(SloAware::default()),
-        }
-    }
-
-    /// Instantiates the router calibrated for `eval`: [`SloAware`]
-    /// receives the evaluator's tenant SLOs and prefill rate; every
-    /// other kind is stateless with respect to the evaluator and
-    /// matches [`Self::build`] exactly.
-    pub fn build_for(&self, eval: &Evaluator) -> Box<dyn Router> {
-        match self {
             RouterKind::SloAware => Box::new(SloAware::for_eval(eval)),
-            _ => self.build(),
         }
     }
 }
@@ -974,13 +964,14 @@ mod tests {
 
     #[test]
     fn router_kinds_build_matching_labels() {
+        let e = multi_replica_eval();
         for kind in RouterKind::ALL {
-            assert_eq!(kind.build().label(), kind.label());
+            assert_eq!(kind.build_for(&e).label(), kind.label());
             assert_eq!(kind.to_string(), kind.label());
         }
         assert_eq!(RouterKind::default(), RouterKind::RoundRobin);
-        assert!(!RouterKind::RoundRobin.build().inspects_load());
-        assert!(RouterKind::JoinShortestQueue.build().inspects_load());
+        assert!(!RouterKind::RoundRobin.build_for(&e).inspects_load());
+        assert!(RouterKind::JoinShortestQueue.build_for(&e).inspects_load());
     }
 
     #[test]
@@ -1180,8 +1171,8 @@ mod tests {
             .bursty(6.0, 2.5)
             .build();
         for kind in RouterKind::ALL {
-            let r =
-                Cluster::new(&e, SchedulingPolicy::Continuous).run(&trace, kind.build().as_mut());
+            let r = Cluster::new(&e, SchedulingPolicy::Continuous)
+                .run(&trace, kind.build_for(&e).as_mut());
             assert_eq!(r.tokens, trace.total_decode_tokens(), "{kind}");
             assert_eq!(r.latency.completed, trace.len() as u64, "{kind}");
             assert_eq!(r.per_replica.len(), e.system().replicas() as usize);

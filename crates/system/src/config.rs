@@ -17,6 +17,17 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// Every preset, for parsers.
+    pub const ALL: [SystemKind; 2] = [SystemKind::PimOnly, SystemKind::XpuPim];
+
+    /// Short label (the `scenario` spelling).
+    pub fn label(&self) -> &'static str {
+        match self {
+            SystemKind::PimOnly => "pim-only",
+            SystemKind::XpuPim => "xpu-pim",
+        }
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {

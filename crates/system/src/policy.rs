@@ -32,6 +32,9 @@ pub enum SchedulingPolicy {
 }
 
 impl SchedulingPolicy {
+    /// Every policy, for sweeps and parsers.
+    pub const ALL: [SchedulingPolicy; 2] = [SchedulingPolicy::Wave, SchedulingPolicy::Continuous];
+
     /// Short display label.
     pub fn label(&self) -> &'static str {
         match self {

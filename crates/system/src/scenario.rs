@@ -5,9 +5,19 @@
 //! Experiments are *data*: a `Scenario` round-trips through the
 //! dependency-free [`jsonio`] layer (`scenarios/*.json`) and is shared
 //! verbatim by tests, benches, and CI. Serving knobs are declared once,
-//! in [`PolicySpec`], which the [`Evaluator`] holds whole. The JSON
-//! codec rejects unknown keys (naming the closest known one) and
-//! integers that do not fit their field.
+//! in [`PolicySpec`], which the [`Evaluator`] holds whole.
+//!
+//! The JSON codec is table-driven: each spec object (the top level,
+//! `techniques`, `cluster`, `cluster.pools[i]`, `policies`,
+//! `workload[i]`) has one table of fields, and each entry holds a key's
+//! spelling, its writer and its reader. One generic writer emits an
+//! object in table order; one generic reader rejects unknown keys
+//! (naming the closest known one) before it reads any value, and every
+//! error names its path: `cluster.pools[0]: router: unknown value "dns"`.
+//! Enum-valued keys spell through their type's `ALL` and `label()`;
+//! integers that do not fit their field are errors. The [`keys`] lists
+//! are read off the same tables, so adding a knob takes its struct
+//! field, one table entry and its `docs/scenarios.md` row.
 //!
 //! ```text
 //! scenarios/*.json ──parse──▶ Scenario ──materialize──▶ Materialized
@@ -35,8 +45,8 @@ use crate::cluster::{run_pools, Cluster, PoolRun, RouterKind};
 use crate::config::{SystemConfig, SystemKind, Techniques};
 pub use crate::policy::PolicySpec;
 use crate::policy::{
-    KvTransferConfig, PagedKvConfig, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy,
-    SheddingPolicy, VictimOrder,
+    KvTransferConfig, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy, SheddingPolicy,
+    VictimOrder,
 };
 use crate::serve::{Evaluator, ServingReport};
 use jsonio::Json;
@@ -375,10 +385,7 @@ impl Scenario {
     /// The system configuration this scenario describes for `model`
     /// (the preset sizing, with the cluster's TP/PP override applied).
     pub fn system_config_for(&self, model: &ModelConfig) -> SystemConfig {
-        let mut sys = match self.system {
-            SystemKind::PimOnly => SystemConfig::cent_for(model),
-            SystemKind::XpuPim => SystemConfig::neupims_for(model),
-        };
+        let mut sys = preset(self.system, model);
         if self.cluster.modules > 0 {
             sys.modules = self.cluster.modules;
         }
@@ -393,10 +400,7 @@ impl Scenario {
     /// scenario's), partitioned per the pool's TP/PP, with the module
     /// count sized so the replica count is exactly `pool.replicas`.
     pub fn pool_system_config(&self, pool: &PoolSpec, model: &ModelConfig) -> SystemConfig {
-        let mut sys = match pool.system.unwrap_or(self.system) {
-            SystemKind::PimOnly => SystemConfig::cent_for(model),
-            SystemKind::XpuPim => SystemConfig::neupims_for(model),
-        };
+        let mut sys = preset(pool.system.unwrap_or(self.system), model);
         if pool.tp > 0 {
             sys = sys.with_parallel(ParallelConfig::new(pool.tp, pool.pp.max(1)));
         }
@@ -558,77 +562,7 @@ impl Scenario {
     /// Serializes the scenario as a [`Json`] tree (see the checked-in
     /// `scenarios/*.json` for the format).
     pub fn to_json(&self) -> Json {
-        let p = &self.policies;
-        Json::obj([
-            ("model", Json::str(self.model.clone())),
-            (
-                "system",
-                Json::str(match self.system {
-                    SystemKind::PimOnly => "pim-only",
-                    SystemKind::XpuPim => "xpu-pim",
-                }),
-            ),
-            (
-                "techniques",
-                Json::obj([
-                    ("tcp", Json::Bool(self.techniques.tcp)),
-                    ("dcs", Json::Bool(self.techniques.dcs)),
-                    ("dpa", Json::Bool(self.techniques.dpa)),
-                ]),
-            ),
-            ("cluster", {
-                let mut fields = vec![
-                    ("tp", Json::num(self.cluster.tp as f64)),
-                    ("pp", Json::num(self.cluster.pp as f64)),
-                    ("modules", Json::num(self.cluster.modules as f64)),
-                    ("threads", Json::num(self.cluster.threads as f64)),
-                ];
-                // Emitted only when present, so pool-free spec files
-                // keep their historical canonical form byte-for-byte.
-                if !self.cluster.pools.is_empty() {
-                    fields.push((
-                        "pools",
-                        Json::Arr(self.cluster.pools.iter().map(pool_to_json).collect()),
-                    ));
-                }
-                Json::obj(fields)
-            }),
-            ("policies", {
-                let mut fields = vec![
-                    ("scheduling", Json::str(p.scheduling.label())),
-                    ("router", Json::str(p.router.label())),
-                    ("preemption", Json::str(p.preemption.label())),
-                    (
-                        "prefill_chunk",
-                        Json::num(if p.prefill.enabled {
-                            p.prefill.chunk_tokens as f64
-                        } else {
-                            0.0
-                        }),
-                    ),
-                    ("kv_capacity_factor", Json::num(p.kv_capacity_factor)),
-                    ("stride", Json::num(p.stride as f64)),
-                    ("prefix_caching", Json::Bool(p.paged_kv.prefix_caching)),
-                    ("page_bytes", Json::num(p.paged_kv.page_bytes as f64)),
-                    ("shedding", Json::str(p.shedding.label())),
-                    ("victim_order", Json::str(p.victim_order.label())),
-                ];
-                // Transfer terms appear only off-default, keeping
-                // pre-disaggregation spec files canonical.
-                if p.kv_transfer != KvTransferConfig::default() {
-                    fields.push((
-                        "kv_transfer_page_latency_us",
-                        Json::num(p.kv_transfer.page_latency_us),
-                    ));
-                    fields.push(("kv_transfer_gbps", Json::num(p.kv_transfer.gbps)));
-                }
-                Json::obj(fields)
-            }),
-            (
-                "workload",
-                Json::Arr(self.workload.iter().map(tenant_to_json).collect()),
-            ),
-        ])
+        write_obj(self, SCENARIO_FIELDS)
     }
 
     /// Serializes to the pretty-printed JSON document format of the
@@ -649,118 +583,12 @@ impl Scenario {
         Self::parse(&text).map_err(|e| format!("{path}: {e}"))
     }
 
-    /// Deserializes a scenario from a [`Json`] tree. Missing `cluster`
-    /// / `policies` fields take their defaults, so spec files only
-    /// state what they change; `model` and a nonempty `workload` are
-    /// required.
+    /// Deserializes a scenario from a [`Json`] tree. Missing keys take
+    /// their defaults, so spec files only state what they change;
+    /// `model` and a nonempty `workload` are required.
     pub fn from_json(doc: &Json) -> Result<Scenario, String> {
-        check_keys(doc, "", keys::TOP)?;
-        for (section, known) in [
-            ("techniques", keys::TECHNIQUES),
-            ("cluster", keys::CLUSTER),
-            ("policies", keys::POLICIES),
-        ] {
-            if let Some(obj) = doc.get(section) {
-                check_keys(obj, section, known)?;
-            }
-        }
-        let model = req_str(doc, "model")?.to_string();
-        let system = match doc.get("system").and_then(Json::as_str) {
-            None | Some("pim-only") => SystemKind::PimOnly,
-            Some("xpu-pim") => SystemKind::XpuPim,
-            Some(other) => {
-                return Err(format!(
-                    "system: unknown kind {other:?} (expected \"pim-only\" or \"xpu-pim\")"
-                ))
-            }
-        };
-        let techniques = match doc.get("techniques") {
-            None => Techniques::pimphony(),
-            Some(t) => Techniques {
-                tcp: get_bool(t, "tcp", false)?,
-                dcs: get_bool(t, "dcs", false)?,
-                dpa: get_bool(t, "dpa", false)?,
-            },
-        };
-        let defaults = ClusterSpec::default();
-        let cluster = match doc.get("cluster") {
-            None => defaults,
-            Some(c) => ClusterSpec {
-                tp: get_int(c, "tp", defaults.tp.into())?,
-                pp: get_int(c, "pp", defaults.pp.into())?,
-                modules: get_int(c, "modules", defaults.modules.into())?,
-                threads: get_int(c, "threads", defaults.threads as u64)?,
-                pools: match c.get("pools") {
-                    None => Vec::new(),
-                    Some(p) => p
-                        .as_arr()
-                        .ok_or("cluster.pools: expected an array of pool specs")?
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| {
-                            pool_from_json(p).map_err(|e| format!("cluster.pools[{i}]: {e}"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                },
-            },
-        };
-        let pdefaults = PolicySpec::default();
-        let policies = match doc.get("policies") {
-            None => pdefaults,
-            Some(p) => PolicySpec {
-                scheduling: match get_str(p, "scheduling", SchedulingPolicy::Wave.label())? {
-                    "wave" => SchedulingPolicy::Wave,
-                    "continuous" => SchedulingPolicy::Continuous,
-                    other => return Err(format!("policies.scheduling: unknown policy {other:?}")),
-                },
-                router: parse_router(get_str(p, "router", RouterKind::RoundRobin.label())?)?,
-                preemption: parse_preemption(get_str(
-                    p,
-                    "preemption",
-                    PreemptionPolicy::None.label(),
-                )?)?,
-                prefill: match get_u64(p, "prefill_chunk", 0)? {
-                    0 => PrefillConfig::disabled(),
-                    chunk => PrefillConfig::chunked(chunk),
-                },
-                kv_capacity_factor: get_f64(p, "kv_capacity_factor", 1.0)?,
-                stride: get_u64(p, "stride", pdefaults.stride)?,
-                paged_kv: PagedKvConfig {
-                    prefix_caching: get_bool(p, "prefix_caching", false)?,
-                    page_bytes: get_u64(p, "page_bytes", PagedKvConfig::DEFAULT_PAGE_BYTES)?,
-                },
-                shedding: parse_shedding(get_str(p, "shedding", SheddingPolicy::None.label())?)?,
-                victim_order: parse_victim_order(get_str(
-                    p,
-                    "victim_order",
-                    VictimOrder::RecentFirst.label(),
-                )?)?,
-                kv_transfer: KvTransferConfig {
-                    page_latency_us: get_f64(
-                        p,
-                        "kv_transfer_page_latency_us",
-                        KvTransferConfig::default().page_latency_us,
-                    )?,
-                    gbps: get_f64(p, "kv_transfer_gbps", KvTransferConfig::default().gbps)?,
-                },
-            },
-        };
-        let workload = doc
-            .get("workload")
-            .and_then(Json::as_arr)
-            .ok_or("workload: required array of tenant specs")?
-            .iter()
-            .enumerate()
-            .map(|(i, t)| tenant_from_json(t).map_err(|e| format!("workload[{i}]: {e}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let scenario = Scenario {
-            model,
-            system,
-            techniques,
-            workload,
-            cluster,
-            policies,
-        };
+        let mut scenario = Scenario::new(String::new());
+        read_obj(doc, SCENARIO_FIELDS, &mut scenario).map_err(ReadError::render)?;
         // Fail fast: a spec file that cannot materialize should not
         // parse either.
         scenario.validate()?;
@@ -768,52 +596,36 @@ impl Scenario {
     }
 }
 
-/// The keys each JSON object of a spec accepts — the codec rejects any
-/// other (see [`Scenario::from_json`]), and `docs/scenarios.md` lists
-/// exactly these.
+/// The paper's sizing of the `kind` preset for `model`.
+fn preset(kind: SystemKind, model: &ModelConfig) -> SystemConfig {
+    match kind {
+        SystemKind::PimOnly => SystemConfig::cent_for(model),
+        SystemKind::XpuPim => SystemConfig::neupims_for(model),
+    }
+}
+
+/// The keys each JSON object of a spec accepts, read off the codec's
+/// field tables: the codec rejects any other key (see
+/// [`Scenario::from_json`]), and `docs/scenarios.md` lists exactly
+/// these.
 pub mod keys {
+    use super::{
+        names, CLUSTER_FIELDS, POLICY_FIELDS, POOL_FIELDS, SCENARIO_FIELDS, TECHNIQUE_FIELDS,
+        TENANT_FIELDS,
+    };
+
     /// Top-level keys.
-    pub const TOP: &[&str] = &[
-        "model",
-        "system",
-        "techniques",
-        "cluster",
-        "policies",
-        "workload",
-    ];
+    pub const TOP: &[&str] = &names::<_, { SCENARIO_FIELDS.len() }>(SCENARIO_FIELDS);
     /// Keys of the `techniques` object.
-    pub const TECHNIQUES: &[&str] = &["tcp", "dcs", "dpa"];
+    pub const TECHNIQUES: &[&str] = &names::<_, { TECHNIQUE_FIELDS.len() }>(TECHNIQUE_FIELDS);
     /// Keys of the `cluster` object.
-    pub const CLUSTER: &[&str] = &["tp", "pp", "modules", "threads", "pools"];
+    pub const CLUSTER: &[&str] = &names::<_, { CLUSTER_FIELDS.len() }>(CLUSTER_FIELDS);
     /// Keys of one `cluster.pools` entry.
-    pub const POOL: &[&str] = &["name", "role", "replicas", "tp", "pp", "system", "router"];
+    pub const POOL: &[&str] = &names::<_, { POOL_FIELDS.len() }>(POOL_FIELDS);
     /// Keys of the `policies` object.
-    pub const POLICIES: &[&str] = &[
-        "scheduling",
-        "router",
-        "preemption",
-        "prefill_chunk",
-        "kv_capacity_factor",
-        "stride",
-        "prefix_caching",
-        "page_bytes",
-        "shedding",
-        "victim_order",
-        "kv_transfer_page_latency_us",
-        "kv_transfer_gbps",
-    ];
+    pub const POLICIES: &[&str] = &names::<_, { POLICY_FIELDS.len() }>(POLICY_FIELDS);
     /// Keys of one `workload` (tenant) entry.
-    pub const TENANT: &[&str] = &[
-        "name",
-        "dataset",
-        "requests",
-        "seed",
-        "decode",
-        "arrivals",
-        "priority",
-        "slo_ttft_p99",
-        "shared_prefix",
-    ];
+    pub const TENANT: &[&str] = &names::<_, { TENANT_FIELDS.len() }>(TENANT_FIELDS);
     /// Keys of a tenant's `decode` object.
     pub const DECODE: &[&str] = &["fixed", "lo", "hi"];
     /// Keys of a tenant's `arrivals` object.
@@ -891,9 +703,8 @@ impl Materialized {
                 trace,
             );
         }
-        // `build_for`: the SLO-aware router routes on the evaluator's
-        // real tenant SLOs and calibrated prefill rate, not the
-        // uncalibrated `build()` fallback.
+        // The SLO-aware router routes on the evaluator's real tenant
+        // SLOs and calibrated prefill rate.
         let mut router = self.router.build_for(&self.evaluator);
         Cluster::new(&self.evaluator, self.evaluator.scheduling_policy())
             .with_threads(self.threads)
@@ -910,291 +721,493 @@ impl Materialized {
     }
 }
 
-fn pool_to_json(p: &PoolSpec) -> Json {
-    let mut fields = vec![
-        ("name", Json::str(p.name.clone())),
-        ("role", Json::str(p.role.label())),
-        ("replicas", Json::num(p.replicas as f64)),
-        ("tp", Json::num(p.tp as f64)),
-        ("pp", Json::num(p.pp as f64)),
-    ];
-    if let Some(kind) = p.system {
-        fields.push((
-            "system",
-            Json::str(match kind {
-                SystemKind::PimOnly => "pim-only",
-                SystemKind::XpuPim => "xpu-pim",
+/// One key of a spec object: its spelling, its writer (`None` omits the
+/// key) and its reader. One table of these per object drives
+/// [`write_obj`], [`read_obj`] and the [`keys`] lists, so each key is
+/// spelled exactly once.
+struct Field<T> {
+    key: &'static str,
+    /// Whether [`read_obj`] rejects an object that omits the key.
+    required: bool,
+    write: fn(&T) -> Option<Json>,
+    read: fn(&mut T, &Json) -> Result<(), ReadError>,
+}
+
+/// An optional key: an object without it keeps the default.
+const fn field<T>(
+    key: &'static str,
+    write: fn(&T) -> Option<Json>,
+    read: fn(&mut T, &Json) -> Result<(), ReadError>,
+) -> Field<T> {
+    Field {
+        key,
+        required: false,
+        write,
+        read,
+    }
+}
+
+/// `f`, made mandatory.
+const fn required<T>(f: Field<T>) -> Field<T> {
+    Field {
+        required: true,
+        ..f
+    }
+}
+
+/// The entry of a key whose value is its struct field's [`Value`]
+/// spelling: `plain!("key", struct_field)` or `plain!("key", sub.field)`.
+macro_rules! plain {
+    ($key:literal, $($field:ident).+) => {
+        field(
+            $key,
+            |t| Value::write(&t.$($field).+),
+            |t, v| set(&mut t.$($field).+, Value::read(v)),
+        )
+    };
+}
+
+/// The keys of a field table, in table order.
+const fn names<T, const N: usize>(fields: &[Field<T>]) -> [&'static str; N] {
+    let mut out = [""; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = fields[i].key;
+        i += 1;
+    }
+    out
+}
+
+const SCENARIO_FIELDS: &[Field<Scenario>] = &[
+    required(plain!("model", model)),
+    plain!("system", system),
+    // A present `techniques` object starts from all-false: it lists
+    // what is on.
+    field(
+        "techniques",
+        |s| Some(write_obj(&s.techniques, TECHNIQUE_FIELDS)),
+        |s, v| {
+            s.techniques = Techniques::baseline();
+            read_obj(v, TECHNIQUE_FIELDS, &mut s.techniques)
+        },
+    ),
+    field(
+        "cluster",
+        |s| Some(write_obj(&s.cluster, CLUSTER_FIELDS)),
+        |s, v| read_obj(v, CLUSTER_FIELDS, &mut s.cluster),
+    ),
+    field(
+        "policies",
+        |s| Some(write_obj(&s.policies, POLICY_FIELDS)),
+        |s, v| read_obj(v, POLICY_FIELDS, &mut s.policies),
+    ),
+    required(field(
+        "workload",
+        |s| Some(write_arr(&s.workload, TENANT_FIELDS)),
+        |s, v| {
+            let tenant = TenantSpec::new("", Dataset::ALL[0]);
+            set(&mut s.workload, read_arr(v, TENANT_FIELDS, &tenant))
+        },
+    )),
+];
+
+const TECHNIQUE_FIELDS: &[Field<Techniques>] =
+    &[plain!("tcp", tcp), plain!("dcs", dcs), plain!("dpa", dpa)];
+
+const CLUSTER_FIELDS: &[Field<ClusterSpec>] = &[
+    plain!("tp", tp),
+    plain!("pp", pp),
+    plain!("modules", modules),
+    plain!("threads", threads),
+    // Written only when nonempty, so pool-free spec files keep their
+    // historical canonical form byte-for-byte.
+    field(
+        "pools",
+        |c| (!c.pools.is_empty()).then(|| write_arr(&c.pools, POOL_FIELDS)),
+        |c, v| {
+            let pool = PoolSpec::new("", PoolRole::Mixed, 1);
+            set(&mut c.pools, read_arr(v, POOL_FIELDS, &pool))
+        },
+    ),
+];
+
+const POOL_FIELDS: &[Field<PoolSpec>] = &[
+    required(plain!("name", name)),
+    plain!("role", role),
+    plain!("replicas", replicas),
+    plain!("tp", tp),
+    plain!("pp", pp),
+    plain!("system", system),
+    plain!("router", router),
+];
+
+const POLICY_FIELDS: &[Field<PolicySpec>] = &[
+    plain!("scheduling", scheduling),
+    plain!("router", router),
+    plain!("preemption", preemption),
+    // 0 means prefill is not modeled.
+    field(
+        "prefill_chunk",
+        |p| {
+            let pre = p.prefill;
+            (if pre.enabled { pre.chunk_tokens } else { 0 }).write()
+        },
+        |p, v| {
+            let chunk = u64::read(v).map(|n| match n {
+                0 => PrefillConfig::disabled(),
+                n => PrefillConfig::chunked(n),
+            });
+            set(&mut p.prefill, chunk)
+        },
+    ),
+    plain!("kv_capacity_factor", kv_capacity_factor),
+    plain!("stride", stride),
+    plain!("prefix_caching", paged_kv.prefix_caching),
+    plain!("page_bytes", paged_kv.page_bytes),
+    plain!("shedding", shedding),
+    plain!("victim_order", victim_order),
+    // The transfer pair is written only off-default, keeping
+    // pre-disaggregation spec files canonical.
+    field(
+        "kv_transfer_page_latency_us",
+        |p| transfer_term(p, p.kv_transfer.page_latency_us),
+        |p, v| set(&mut p.kv_transfer.page_latency_us, f64::read(v)),
+    ),
+    field(
+        "kv_transfer_gbps",
+        |p| transfer_term(p, p.kv_transfer.gbps),
+        |p, v| set(&mut p.kv_transfer.gbps, f64::read(v)),
+    ),
+];
+
+const TENANT_FIELDS: &[Field<TenantSpec>] = &[
+    required(plain!("name", name)),
+    required(plain!("dataset", dataset)),
+    plain!("requests", requests),
+    plain!("seed", seed),
+    plain!("decode", decode),
+    plain!("arrivals", arrivals),
+    plain!("priority", priority),
+    // Written as `null` when unset.
+    field(
+        "slo_ttft_p99",
+        |t| Some(t.slo_ttft_p99.map_or(Json::Null, Json::num)),
+        |t, v| {
+            let slo = match v {
+                Json::Null => Ok(None),
+                v => f64::read(v).map(Some),
+            };
+            set(&mut t.slo_ttft_p99, slo)
+        },
+    ),
+    plain!("shared_prefix", shared_prefix),
+];
+
+/// Serializes `value` as an object, keys in table order.
+fn write_obj<T>(value: &T, fields: &[Field<T>]) -> Json {
+    Json::obj(
+        fields
+            .iter()
+            .filter_map(|f| Some((f.key, (f.write)(value)?))),
+    )
+}
+
+fn write_arr<T>(items: &[T], fields: &[Field<T>]) -> Json {
+    Json::Arr(items.iter().map(|item| write_obj(item, fields)).collect())
+}
+
+/// Deserializes an object into `value`, which holds the object's
+/// default: every key must be in the table (checked before any value
+/// is read), every required key present, and every error is located
+/// under its key.
+fn read_obj<T>(obj: &Json, fields: &[Field<T>], value: &mut T) -> Result<(), ReadError> {
+    let known: Vec<&str> = fields.iter().map(|f| f.key).collect();
+    check_keys(obj, &known).map_err(ReadError::here)?;
+    for f in fields {
+        match obj.get(f.key) {
+            Some(v) => (f.read)(value, v).map_err(|e| e.under(f.key))?,
+            None if f.required => return Err(ReadError::here(format!("{}: required", f.key))),
+            None => {}
+        }
+    }
+    Ok(())
+}
+
+/// Deserializes an array of objects, each into a copy of `default`.
+fn read_arr<T: Clone>(arr: &Json, fields: &[Field<T>], default: &T) -> Result<Vec<T>, ReadError> {
+    let Json::Arr(items) = arr else {
+        return Err(ReadError::Value("expected an array".to_string()));
+    };
+    let read = |(i, item)| {
+        let mut value = default.clone();
+        read_obj(item, fields, &mut value).map_err(|e| e.at_index(i))?;
+        Ok(value)
+    };
+    items.iter().enumerate().map(read).collect()
+}
+
+/// Stores a read value in its field.
+fn set<X, E: Into<ReadError>>(slot: &mut X, value: Result<X, E>) -> Result<(), ReadError> {
+    *slot = value.map_err(Into::into)?;
+    Ok(())
+}
+
+/// A transfer term, written only when the link is off-default.
+fn transfer_term(p: &PolicySpec, x: f64) -> Option<Json> {
+    (p.kv_transfer != KvTransferConfig::default()).then_some(Json::num(x))
+}
+
+/// A codec error on its way out of the nested objects. A reader's own
+/// message is a bare [`ReadError::Value`]; [`read_obj`] locates it
+/// under the reader's key, and every enclosing object and array adds
+/// its segment, so the rendered error names the full path
+/// (`cluster.pools[0]: router: ...`).
+enum ReadError {
+    /// A message about a value, not yet attributed to its key.
+    Value(String),
+    /// A message about the object at `path` below the one being read
+    /// (`""` for that object itself, else `.key` and `[i]` segments).
+    At { path: String, msg: String },
+}
+
+impl From<String> for ReadError {
+    fn from(msg: String) -> Self {
+        ReadError::Value(msg)
+    }
+}
+
+impl ReadError {
+    /// A message about the object being read.
+    fn here(msg: String) -> Self {
+        ReadError::At {
+            path: String::new(),
+            msg,
+        }
+    }
+
+    /// Locates the error under `key` of the object being read.
+    fn under(self, key: &str) -> Self {
+        match self {
+            ReadError::Value(msg) => ReadError::here(format!("{key}: {msg}")),
+            ReadError::At { path, msg } => ReadError::At {
+                path: format!(".{key}{path}"),
+                msg,
+            },
+        }
+    }
+
+    /// Locates the error at element `i` of the array being read.
+    fn at_index(self, i: usize) -> Self {
+        let (path, msg) = match self {
+            ReadError::Value(msg) => (String::new(), msg),
+            ReadError::At { path, msg } => (path, msg),
+        };
+        ReadError::At {
+            path: format!("[{i}]{path}"),
+            msg,
+        }
+    }
+
+    /// `path: message`, or the bare message for the document itself.
+    fn render(self) -> String {
+        match self {
+            ReadError::Value(msg) => msg,
+            ReadError::At { path, msg } => match path.trim_start_matches('.') {
+                "" => msg,
+                path => format!("{path}: {msg}"),
+            },
+        }
+    }
+}
+
+/// A field type's JSON spelling: the writer and reader [`plain!`]
+/// entries use.
+trait Value: Sized {
+    fn write(&self) -> Option<Json>;
+    fn read(v: &Json) -> Result<Self, String>;
+}
+
+/// Integers: a value that does not fit the field's type is an error,
+/// never a silent wrap.
+macro_rules! int_value {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn write(&self) -> Option<Json> {
+                Some(Json::num(*self as f64))
+            }
+            fn read(v: &Json) -> Result<Self, String> {
+                let x = f64::read(v)?;
+                // `u64::MAX as f64` rounds up to 2^64, the first value
+                // `as u64` would saturate.
+                if x < 0.0 || x.fract() != 0.0 || x >= u64::MAX as f64 {
+                    return Err(format!("expected a nonnegative integer, got {x}"));
+                }
+                let n = x as u64;
+                Self::try_from(n).map_err(|_| format!("{n} does not fit in {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+int_value!(u8, u32, u64, usize);
+
+/// Enums: every spelling goes through the one lookup over the type's
+/// `ALL` and `label()`.
+macro_rules! label_value {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn write(&self) -> Option<Json> {
+                Some(Json::str(self.label()))
+            }
+            fn read(v: &Json) -> Result<Self, String> {
+                let s = String::read(v)?;
+                Self::ALL.into_iter().find(|e| e.label() == s).ok_or_else(|| {
+                    let known: Vec<&str> = Self::ALL.iter().map(Self::label).collect();
+                    format!("unknown value {s:?} (expected one of: {})", known.join(", "))
+                })
+            }
+        }
+    )*};
+}
+label_value!(
+    SystemKind,
+    SchedulingPolicy,
+    RouterKind,
+    PreemptionPolicy,
+    SheddingPolicy,
+    VictimOrder,
+    PoolRole
+);
+
+impl Value for f64 {
+    fn write(&self) -> Option<Json> {
+        Some(Json::num(*self))
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+impl Value for bool {
+    fn write(&self) -> Option<Json> {
+        Some(Json::Bool(*self))
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("expected a boolean".to_string()),
+        }
+    }
+}
+
+impl Value for String {
+    fn write(&self) -> Option<Json> {
+        Some(Json::str(self.as_str()))
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+/// An optional override: omitted when unset.
+impl<E: Value> Value for Option<E> {
+    fn write(&self) -> Option<Json> {
+        self.as_ref().and_then(E::write)
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        E::read(v).map(Some)
+    }
+}
+
+/// Table II datasets match case-insensitively.
+impl Value for Dataset {
+    fn write(&self) -> Option<Json> {
+        Some(Json::str(self.name()))
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        let name = String::read(v)?;
+        Dataset::ALL
+            .into_iter()
+            .find(|d| d.name().eq_ignore_ascii_case(&name))
+            .ok_or_else(|| {
+                let known: Vec<&str> = Dataset::ALL.iter().map(|d| d.name()).collect();
+                format!(
+                    "unknown dataset {name:?} (Table II datasets: {})",
+                    known.join(", ")
+                )
+            })
+    }
+}
+
+impl Value for DecodeSpec {
+    fn write(&self) -> Option<Json> {
+        Some(match *self {
+            DecodeSpec::Fixed(n) => Json::obj([("fixed", Json::num(n as f64))]),
+            DecodeSpec::Uniform(lo, hi) => {
+                Json::obj([("lo", Json::num(lo as f64)), ("hi", Json::num(hi as f64))])
+            }
+        })
+    }
+    fn read(d: &Json) -> Result<Self, String> {
+        check_keys(d, keys::DECODE)?;
+        let get = |key: &str| {
+            d.get(key)
+                .map_or(Ok(0), u64::read)
+                .map_err(|e| format!("{key}: {e}"))
+        };
+        if d.get("fixed").is_some() {
+            Ok(DecodeSpec::Fixed(get("fixed")?))
+        } else if d.get("lo").is_some() || d.get("hi").is_some() {
+            Ok(DecodeSpec::Uniform(get("lo")?, get("hi")?))
+        } else {
+            Err("expected {\"fixed\": n} or {\"lo\": n, \"hi\": n}".to_string())
+        }
+    }
+}
+
+impl Value for ArrivalProcess {
+    fn write(&self) -> Option<Json> {
+        Some(match *self {
+            ArrivalProcess::Batch => Json::obj([("process", Json::str("batch"))]),
+            ArrivalProcess::Poisson { rate } => {
+                Json::obj([("process", Json::str("poisson")), ("rate", Json::num(rate))])
+            }
+            ArrivalProcess::Bursty { rate, cv } => Json::obj([
+                ("process", Json::str("bursty")),
+                ("rate", Json::num(rate)),
+                ("cv", Json::num(cv)),
+            ]),
+        })
+    }
+    fn read(a: &Json) -> Result<Self, String> {
+        check_keys(a, keys::ARRIVALS)?;
+        let process = a
+            .get("process")
+            .map_or(Ok("batch".to_string()), String::read)
+            .map_err(|e| format!("process: {e}"))?;
+        let get = |key: &str| {
+            a.get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("{process} requires {key:?}"))
+        };
+        match process.as_str() {
+            "batch" => Ok(ArrivalProcess::Batch),
+            "poisson" => Ok(ArrivalProcess::Poisson { rate: get("rate")? }),
+            "bursty" => Ok(ArrivalProcess::Bursty {
+                rate: get("rate")?,
+                cv: get("cv")?,
             }),
-        ));
-    }
-    if let Some(router) = p.router {
-        fields.push(("router", Json::str(router.label())));
-    }
-    Json::obj(fields)
-}
-
-fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
-    check_keys(p, "", keys::POOL)?;
-    let name = req_str(p, "name")?.to_string();
-    let role = parse_pool_role(get_str(p, "role", PoolRole::Mixed.label())?)?;
-    let system = match p.get("system").and_then(Json::as_str) {
-        None => None,
-        Some("pim-only") => Some(SystemKind::PimOnly),
-        Some("xpu-pim") => Some(SystemKind::XpuPim),
-        Some(other) => {
-            return Err(format!(
-                "system: unknown kind {other:?} (expected \"pim-only\" or \"xpu-pim\")"
-            ))
+            other => Err(format!("unknown process {other:?}")),
         }
-    };
-    let router = match p.get("router") {
-        None => None,
-        Some(_) => Some(parse_router(get_str(p, "router", "")?)?),
-    };
-    Ok(PoolSpec {
-        name,
-        role,
-        replicas: get_int(p, "replicas", 1)?,
-        tp: get_int(p, "tp", 0)?,
-        pp: get_int(p, "pp", 1)?,
-        system,
-        router,
-    })
-}
-
-fn parse_pool_role(label: &str) -> Result<PoolRole, String> {
-    PoolRole::ALL
-        .into_iter()
-        .find(|r| r.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = PoolRole::ALL.iter().map(|r| r.label()).collect();
-            format!(
-                "role: unknown pool role {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
-fn tenant_to_json(t: &TenantSpec) -> Json {
-    let decode = match t.decode {
-        DecodeSpec::Fixed(n) => Json::obj([("fixed", Json::num(n as f64))]),
-        DecodeSpec::Uniform(lo, hi) => {
-            Json::obj([("lo", Json::num(lo as f64)), ("hi", Json::num(hi as f64))])
-        }
-    };
-    let arrivals = match t.arrivals {
-        ArrivalProcess::Batch => Json::obj([("process", Json::str("batch"))]),
-        ArrivalProcess::Poisson { rate } => {
-            Json::obj([("process", Json::str("poisson")), ("rate", Json::num(rate))])
-        }
-        ArrivalProcess::Bursty { rate, cv } => Json::obj([
-            ("process", Json::str("bursty")),
-            ("rate", Json::num(rate)),
-            ("cv", Json::num(cv)),
-        ]),
-    };
-    Json::obj([
-        ("name", Json::str(t.name.clone())),
-        ("dataset", Json::str(t.dataset.name())),
-        ("requests", Json::num(t.requests as f64)),
-        ("seed", Json::num(t.seed as f64)),
-        ("decode", decode),
-        ("arrivals", arrivals),
-        ("priority", Json::num(t.priority as f64)),
-        (
-            "slo_ttft_p99",
-            t.slo_ttft_p99.map(Json::num).unwrap_or(Json::Null),
-        ),
-        ("shared_prefix", Json::num(t.shared_prefix as f64)),
-    ])
-}
-
-fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
-    check_keys(t, "", keys::TENANT)?;
-    let name = req_str(t, "name")?.to_string();
-    let dataset_name = req_str(t, "dataset")?;
-    let dataset = Dataset::ALL
-        .into_iter()
-        .find(|d| d.name().eq_ignore_ascii_case(dataset_name))
-        .ok_or_else(|| {
-            let known: Vec<&str> = Dataset::ALL.iter().map(|d| d.name()).collect();
-            format!(
-                "unknown dataset {dataset_name:?} (Table II datasets: {})",
-                known.join(", ")
-            )
-        })?;
-    let decode = match t.get("decode") {
-        None => DecodeSpec::Fixed(256),
-        Some(d) => {
-            check_keys(d, "decode", keys::DECODE)?;
-            if d.get("fixed").is_some() {
-                DecodeSpec::Fixed(get_u64(d, "fixed", 0)?)
-            } else if d.get("lo").is_some() || d.get("hi").is_some() {
-                DecodeSpec::Uniform(get_u64(d, "lo", 0)?, get_u64(d, "hi", 0)?)
-            } else {
-                return Err("decode: expected {\"fixed\": n} or {\"lo\": n, \"hi\": n}".to_string());
-            }
-        }
-    };
-    let arrivals = match t.get("arrivals") {
-        None => ArrivalProcess::Batch,
-        Some(a) => {
-            check_keys(a, "arrivals", keys::ARRIVALS)?;
-            match get_str(a, "process", "batch")? {
-                "batch" => ArrivalProcess::Batch,
-                "poisson" => ArrivalProcess::Poisson {
-                    rate: a
-                        .get("rate")
-                        .and_then(Json::as_f64)
-                        .ok_or("arrivals: poisson requires \"rate\"")?,
-                },
-                "bursty" => ArrivalProcess::Bursty {
-                    rate: a
-                        .get("rate")
-                        .and_then(Json::as_f64)
-                        .ok_or("arrivals: bursty requires \"rate\"")?,
-                    cv: a
-                        .get("cv")
-                        .and_then(Json::as_f64)
-                        .ok_or("arrivals: bursty requires \"cv\"")?,
-                },
-                other => return Err(format!("arrivals: unknown process {other:?}")),
-            }
-        }
-    };
-    let slo = match t.get("slo_ttft_p99") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_f64()
-                .ok_or("slo_ttft_p99: expected a number or null")?,
-        ),
-    };
-    Ok(TenantSpec {
-        name,
-        dataset,
-        requests: get_int(t, "requests", 128)?,
-        seed: get_u64(t, "seed", 0)?,
-        decode,
-        arrivals,
-        priority: get_int(t, "priority", 0)?,
-        slo_ttft_p99: slo,
-        shared_prefix: get_u64(t, "shared_prefix", 0)?,
-    })
-}
-
-fn parse_router(label: &str) -> Result<RouterKind, String> {
-    RouterKind::ALL
-        .into_iter()
-        .find(|k| k.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = RouterKind::ALL.iter().map(|k| k.label()).collect();
-            format!(
-                "policies.router: unknown router {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
-fn parse_preemption(label: &str) -> Result<PreemptionPolicy, String> {
-    PreemptionPolicy::ALL
-        .into_iter()
-        .find(|p| p.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = PreemptionPolicy::ALL.iter().map(|p| p.label()).collect();
-            format!(
-                "policies.preemption: unknown policy {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
-fn parse_shedding(label: &str) -> Result<SheddingPolicy, String> {
-    SheddingPolicy::ALL
-        .into_iter()
-        .find(|s| s.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = SheddingPolicy::ALL.iter().map(|s| s.label()).collect();
-            format!(
-                "policies.shedding: unknown policy {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
-fn parse_victim_order(label: &str) -> Result<VictimOrder, String> {
-    VictimOrder::ALL
-        .into_iter()
-        .find(|v| v.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = VictimOrder::ALL.iter().map(|v| v.label()).collect();
-            format!(
-                "policies.victim_order: unknown order {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
-fn req_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{key}: required string"))
-}
-
-fn get_str<'a>(obj: &'a Json, key: &str, default: &'static str) -> Result<&'a str, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| format!("{key}: expected a string")),
     }
-}
-
-fn get_bool(obj: &Json, key: &str, default: bool) -> Result<bool, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("{key}: expected a boolean")),
-    }
-}
-
-fn get_f64(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| format!("{key}: expected a number")),
-    }
-}
-
-fn get_u64(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
-    let v = get_f64(obj, key, default as f64)?;
-    // `u64::MAX as f64` rounds up to 2^64, the first value `as u64`
-    // would saturate.
-    if v < 0.0 || v.fract() != 0.0 || v >= u64::MAX as f64 {
-        return Err(format!("{key}: expected a nonnegative integer, got {v}"));
-    }
-    Ok(v as u64)
-}
-
-/// [`get_u64`] narrowed to the field's type: a value that does not fit
-/// is an error naming the key, never a silent wrap.
-fn get_int<T: TryFrom<u64>>(obj: &Json, key: &str, default: u64) -> Result<T, String> {
-    let v = get_u64(obj, key, default)?;
-    T::try_from(v).map_err(|_| format!("{key}: {v} does not fit in {}", std::any::type_name::<T>()))
 }
 
 /// Rejects `obj` unless it is an object whose keys are all in `known`;
-/// an unknown key's error names `path` and the closest known key.
-fn check_keys(obj: &Json, path: &str, known: &[&str]) -> Result<(), String> {
-    let at = |msg: String| {
-        if path.is_empty() {
-            msg
-        } else {
-            format!("{path}: {msg}")
-        }
-    };
+/// an unknown key's error names the closest known key.
+fn check_keys(obj: &Json, known: &[&str]) -> Result<(), String> {
     let Json::Obj(pairs) = obj else {
-        return Err(at("expected an object".to_string()));
+        return Err("expected an object".to_string());
     };
     match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
         None => Ok(()),
@@ -1204,10 +1217,10 @@ fn check_keys(obj: &Json, path: &str, known: &[&str]) -> Result<(), String> {
                 .min_by_key(|k| edit_distance(key, k))
                 .copied()
                 .unwrap_or_default();
-            Err(at(format!(
+            Err(format!(
                 "unknown key {key:?} (did you mean {closest:?}? known keys: {})",
                 known.join(", ")
-            )))
+            ))
         }
     }
 }
@@ -1310,7 +1323,10 @@ mod tests {
                 "workload": [{"name": "t", "dataset": "QMSum"}]}"#,
         )
         .unwrap_err();
-        assert!(bad_router.contains("unknown router"), "{bad_router}");
+        assert!(
+            bad_router.starts_with("policies: router: unknown value \"dns\""),
+            "{bad_router}"
+        );
         let empty = Scenario::parse(r#"{"model": "LLM-7B-32K", "workload": []}"#).unwrap_err();
         assert!(empty.contains("at least one tenant"), "{empty}");
     }
@@ -1443,69 +1459,110 @@ mod tests {
 
     #[test]
     fn integers_that_do_not_fit_their_field_are_rejected() {
-        let parse = |cluster: &str, pool: &str, tenant: &str| {
+        // Each error names its full path: object, then key. Bad enum
+        // labels are checked alongside, at every level they occur.
+        let parse = |top: &str, cluster: &str, pool: &str, tenant: &str| {
             Scenario::parse(&format!(
-                r#"{{"model": "LLM-7B-32K",
+                r#"{{"model": "LLM-7B-32K", {top}
                     "cluster": {{{cluster} "pools": [{{"name": "p", {pool} "role": "mixed"}}]}},
                     "workload": [{{"name": "t", "dataset": "QMSum" {tenant}}}]}}"#
             ))
         };
-        let big = 4_294_967_298u64; // 2^32 + 2: wraps to 2 as u32
-        for (cluster, pool, tenant, want) in [
+        // 4294967298 = 2^32 + 2: wraps to 2 as u32.
+        for (top, cluster, pool, tenant, want) in [
             (
-                format!(r#""tp": {big},"#),
+                "",
+                r#""tp": 4294967298,"#,
                 "",
                 "",
-                "tp: 4294967298 does not fit in u32",
+                "cluster: tp: 4294967298 does not fit in u32",
             ),
             (
-                format!(r#""pp": {big},"#),
+                "",
+                r#""pp": 4294967298,"#,
                 "",
                 "",
-                "pp: 4294967298 does not fit in u32",
+                "cluster: pp: 4294967298 does not fit in u32",
             ),
             (
-                format!(r#""modules": {big},"#),
+                "",
+                r#""modules": 4294967298,"#,
                 "",
                 "",
-                "modules: 4294967298 does not fit in u32",
+                "cluster: modules: 4294967298 does not fit in u32",
             ),
             (
-                String::new(),
+                "",
+                "",
                 r#""replicas": 4294967298,"#,
                 "",
                 "cluster.pools[0]: replicas: 4294967298 does not fit in u32",
             ),
             (
-                String::new(),
+                "",
+                "",
                 r#""tp": 4294967298,"#,
                 "",
                 "cluster.pools[0]: tp: 4294967298 does not fit in u32",
             ),
             (
-                String::new(),
+                "",
+                "",
                 r#""pp": 4294967298,"#,
                 "",
                 "cluster.pools[0]: pp: 4294967298 does not fit in u32",
             ),
             (
-                String::new(),
+                "",
+                "",
                 "",
                 r#", "priority": 257"#,
                 "workload[0]: priority: 257 does not fit in u8",
             ),
             (
-                String::new(),
+                "",
+                "",
                 "",
                 r#", "seed": 1e20"#,
                 "workload[0]: seed: expected a nonnegative integer, got 100000000000000000000",
             ),
+            (
+                "",
+                "",
+                r#""router": "dns","#,
+                "",
+                "cluster.pools[0]: router: unknown value \"dns\" \
+                 (expected one of: round-robin, jsq, least-loaded, least-prefill, slo-aware)",
+            ),
+            (
+                "",
+                "",
+                r#""system": "tpu","#,
+                "",
+                "cluster.pools[0]: system: unknown value \"tpu\" \
+                 (expected one of: pim-only, xpu-pim)",
+            ),
+            (
+                r#""policies": {"scheduling": "fifo"},"#,
+                "",
+                "",
+                "",
+                "policies: scheduling: unknown value \"fifo\" \
+                 (expected one of: wave, continuous)",
+            ),
+            (
+                r#""system": "tpu","#,
+                "",
+                "",
+                "",
+                "system: unknown value \"tpu\" (expected one of: pim-only, xpu-pim)",
+            ),
         ] {
-            let err = parse(&cluster, pool, tenant).unwrap_err();
+            let err = parse(top, cluster, pool, tenant).unwrap_err();
             assert_eq!(err, want);
         }
         // The largest values that fit still parse.
-        let ok = parse("", r#""replicas": 1,"#, r#", "priority": 255"#).expect("fits");
+        let ok = parse("", "", r#""replicas": 1,"#, r#", "priority": 255"#).expect("fits");
         assert_eq!(ok.workload[0].priority, 255);
     }
 

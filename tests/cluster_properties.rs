@@ -40,7 +40,7 @@ fn parallel_and_sequential_cluster_runs_are_byte_identical() {
         let run = |threads: usize| {
             Cluster::new(&e, SchedulingPolicy::Continuous)
                 .with_threads(threads)
-                .run(&trace, kind.build().as_mut())
+                .run(&trace, kind.build_for(&e).as_mut())
         };
         let sequential = run(1);
         for threads in [2, 4, 8] {
@@ -64,7 +64,7 @@ fn wave_cluster_is_thread_count_invariant() {
     let run = |threads: usize| {
         Cluster::new(&e, SchedulingPolicy::Wave)
             .with_threads(threads)
-            .run(&trace, RouterKind::RoundRobin.build().as_mut())
+            .run(&trace, RouterKind::RoundRobin.build_for(&e).as_mut())
     };
     assert_eq!(run(1), run(4));
 }
@@ -86,7 +86,7 @@ fn run_trace_equals_explicit_round_robin_cluster() {
         let engine = e.run_trace(&trace);
         let cluster = Cluster::new(&e, policy)
             .with_threads(4)
-            .run(&trace, RouterKind::RoundRobin.build().as_mut());
+            .run(&trace, RouterKind::RoundRobin.build_for(&e).as_mut());
         assert_eq!(engine, cluster, "{policy}");
     }
 }
@@ -141,7 +141,10 @@ fn continuous_round_robin_golden_pin() {
     let e = cluster_eval();
     let r = Cluster::new(&e, SchedulingPolicy::Continuous)
         .with_threads(4)
-        .run(&bursty_trace(2026), RouterKind::RoundRobin.build().as_mut());
+        .run(
+            &bursty_trace(2026),
+            RouterKind::RoundRobin.build_for(&e).as_mut(),
+        );
     assert_eq!(r.tokens, 9029);
     assert_eq!(r.waves, 155);
     let close = |got: f64, want: f64, what: &str| {
@@ -187,7 +190,7 @@ fn jsq_beats_round_robin_p99_ttft_on_bursty_traffic() {
         let run = |kind: RouterKind| {
             Cluster::new(&e, SchedulingPolicy::Continuous)
                 .with_threads(4)
-                .run(&trace, kind.build().as_mut())
+                .run(&trace, kind.build_for(&e).as_mut())
         };
         let rr = run(RouterKind::RoundRobin);
         let jsq = run(RouterKind::JoinShortestQueue);
@@ -220,7 +223,7 @@ fn per_replica_breakdown_exposes_router_skew() {
     let run = |kind: RouterKind| {
         Cluster::new(&e, SchedulingPolicy::Continuous)
             .with_threads(4)
-            .run(&trace, kind.build().as_mut())
+            .run(&trace, kind.build_for(&e).as_mut())
     };
     let rr = run(RouterKind::RoundRobin);
     let jsq = run(RouterKind::JoinShortestQueue);
@@ -267,7 +270,7 @@ fn least_loaded_cluster_serves_all_work_under_static_reservations() {
     let trace = bursty_trace(42);
     let r = Cluster::new(&e, SchedulingPolicy::Continuous)
         .with_threads(2)
-        .run(&trace, RouterKind::LeastLoaded.build().as_mut());
+        .run(&trace, RouterKind::LeastLoaded.build_for(&e).as_mut());
     assert_eq!(r.tokens, trace.total_decode_tokens());
     assert_eq!(r.latency.completed, trace.len() as u64);
     assert!(r.per_replica.iter().all(|b| b.peak_reserved_kv > 0));

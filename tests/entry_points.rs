@@ -1,5 +1,6 @@
 //! One path from a spec to a report: every checked-in
-//! `scenarios/**/*.json` produces the same `ServingReport` through each
+//! `scenarios/**/*.json` is canonical (byte-identical to its own
+//! re-serialization) and produces the same `ServingReport` through each
 //! public entry point — `Materialized::run` at 1 and 2 threads and
 //! `Orchestrator::from_scenario(..).serve(&trace)` — pools, router
 //! calibration and all.
@@ -26,6 +27,23 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
         }
     }
     out
+}
+
+#[test]
+fn every_spec_is_canonical() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let specs = spec_files(&root);
+    assert!(specs.len() >= 8, "found only {specs:?}");
+    for path in specs {
+        let text = std::fs::read_to_string(&path).expect("readable spec");
+        let spec = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            spec.to_pretty(),
+            text,
+            "{}: spec must be canonical (run scenario_check --canonicalize)",
+            path.display()
+        );
+    }
 }
 
 #[test]

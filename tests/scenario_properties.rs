@@ -65,7 +65,7 @@ fn prefill_policies() -> PolicySpec {
 fn direct_run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> ServingReport {
     Cluster::new(eval, eval.scheduling_policy())
         .with_threads(threads)
-        .run(trace, kind.build().as_mut())
+        .run(trace, kind.build_for(eval).as_mut())
 }
 
 /// One-tenant scenario traces are bit-identical to plain builder

@@ -214,10 +214,10 @@ fn slo_native_run_is_thread_deterministic() {
     assert_eq!(runs[0], runs[2]);
 }
 
-/// The checked-in `scenarios/slo/*.json` specs parse, are canonical
-/// (byte-identical to their own re-serialization), and actually
+/// The checked-in `scenarios/slo/*.json` specs parse and actually
 /// exercise the machinery they document: the SLO-aware router, a live
-/// admission gate, and slack-first eviction under pressure.
+/// admission gate, and slack-first eviction under pressure. (Canonical
+/// form is checked for every spec in `tests/entry_points.rs`.)
 #[test]
 fn checked_in_slo_scenarios_are_canonical_and_exercise_the_knobs() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/slo");
@@ -231,12 +231,6 @@ fn checked_in_slo_scenarios_are_canonical_and_exercise_the_knobs() {
     for path in paths {
         let text = std::fs::read_to_string(&path).expect("readable spec");
         let scenario = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            scenario.to_pretty(),
-            text,
-            "{}: spec must be canonical (run scenario_check --canonicalize)",
-            path.display()
-        );
         assert_eq!(scenario.policies.router, RouterKind::SloAware);
         assert_eq!(scenario.policies.shedding, SheddingPolicy::Reject);
         assert_eq!(scenario.policies.victim_order, VictimOrder::SlackFirst);
