@@ -1,30 +1,26 @@
 //! Fig. 17: scalability with system capacity and context length
 //! (LLM-7B-128K-GQA, 3-sigma context variation).
 
+use bench::study::{best_factorization, Run};
 use llm_model::LLM_7B_128K_GQA;
-use pim_compiler::ParallelConfig;
-use system::{Evaluator, ModuleConfig, ServingReport, SystemConfig, SystemKind, Techniques};
-use workload::{DatasetStats, TraceBuilder};
+use system::{Scenario, SystemKind, Techniques, TenantSpec};
+use workload::{Dataset, DatasetStats, Trace, TraceBuilder};
 
-/// Best-throughput run across feasible (TP, PP) factorizations.
-fn best(sys: SystemConfig, t: Techniques, trace: &workload::Trace) -> ServingReport {
-    let model = LLM_7B_128K_GQA;
-    let t_max = trace.iter().map(|r| r.final_len()).max().unwrap_or(0);
-    ParallelConfig::factorizations(sys.modules)
-        .into_iter()
-        .filter_map(|p| {
-            let e = Evaluator::new(sys.with_parallel(p), model, t);
-            e.feasible(t_max).then(|| e.run_trace(trace))
-        })
-        .max_by(|a, b| {
-            a.tokens_per_second
-                .partial_cmp(&b.tokens_per_second)
-                .expect("finite")
-        })
-        .unwrap_or_else(|| Evaluator::new(sys, model, t).run_trace(trace))
+/// The fastest feasible (TP, PP) factorization of a `modules`-module
+/// `kind` node serving `trace`.
+fn best(kind: SystemKind, modules: u32, t: Techniques, trace: &Trace) -> Run {
+    // The spec's tenant only satisfies validation: `trace` is served.
+    let mut spec = Scenario::new(LLM_7B_128K_GQA.name)
+        .tenant(TenantSpec::new("synthetic", Dataset::QmSum).requests(1));
+    spec.system = kind;
+    spec.techniques = t;
+    spec.cluster.modules = modules;
+    best_factorization(&spec, trace)
+        .expect("valid scenario")
+        .expect("a feasible factorization")
 }
 
-fn synthetic_trace(ctx: u64, n: usize) -> workload::Trace {
+fn synthetic_trace(ctx: u64, n: usize) -> Trace {
     let stats = DatasetStats {
         name: "synthetic",
         suite: "synthetic",
@@ -41,21 +37,7 @@ fn synthetic_trace(ctx: u64, n: usize) -> workload::Trace {
         .build()
 }
 
-fn system(kind: SystemKind, modules: u32) -> SystemConfig {
-    let module = match kind {
-        SystemKind::PimOnly => ModuleConfig::cent(),
-        SystemKind::XpuPim => ModuleConfig::neupims(),
-    };
-    SystemConfig {
-        kind,
-        module,
-        modules,
-        parallel: ParallelConfig::new(modules, 1),
-    }
-}
-
 fn main() {
-    let _model = LLM_7B_128K_GQA;
     let mut sink = bench::MetricSink::new("fig17");
     bench::header("Fig. 17(a): throughput vs capacity at 64K context");
     for (kind, mods) in [
@@ -68,20 +50,19 @@ fn main() {
             "modules", "capacity", "base tok/s", "phony tok/s"
         );
         for m in mods {
-            let sys = system(kind, m);
             let trace = synthetic_trace(64 * 1024, 24);
-            let b = best(sys, Techniques::baseline(), &trace);
-            let p = best(sys, Techniques::pimphony(), &trace);
+            let b = best(kind, m, Techniques::baseline(), &trace).report;
+            let p = best(kind, m, Techniques::pimphony(), &trace);
             println!(
                 "{:<10} {:>8}GB {:>14.1} {:>14.1}",
                 m,
-                sys.total_capacity() >> 30,
+                p.materialized.evaluator.system().total_capacity() >> 30,
                 b.tokens_per_second,
-                p.tokens_per_second
+                p.report.tokens_per_second
             );
             sink.metric(
                 format!("a/{}/m{m}/phony_tokens_per_second", kind.name()),
-                p.tokens_per_second,
+                p.report.tokens_per_second,
             );
         }
     }
@@ -99,10 +80,9 @@ fn main() {
         );
         for exp in [12u32, 14, 16, 18, 20] {
             let ctx = 1u64 << exp;
-            let sys = system(kind, modules);
             let trace = synthetic_trace(ctx, 16);
-            let b = best(sys, Techniques::baseline(), &trace);
-            let p = best(sys, Techniques::pimphony(), &trace);
+            let b = best(kind, modules, Techniques::baseline(), &trace).report;
+            let p = best(kind, modules, Techniques::pimphony(), &trace).report;
             println!(
                 "{:>8}K {:>14.2} {:>14.2} {:>8.1}x",
                 ctx / 1024,
@@ -121,8 +101,13 @@ fn main() {
     println!("{:>9} {:>10} {:>10}", "context", "attn%", "fc%");
     for exp in [12u32, 14, 16, 18, 20] {
         let ctx = 1u64 << exp;
-        let sys = system(SystemKind::PimOnly, 32);
-        let r = best(sys, Techniques::pimphony(), &synthetic_trace(ctx, 8));
+        let r = best(
+            SystemKind::PimOnly,
+            32,
+            Techniques::pimphony(),
+            &synthetic_trace(ctx, 8),
+        )
+        .report;
         let tot = (r.attn_seconds + r.fc_seconds).max(1e-12);
         println!(
             "{:>8}K {:>9.1}% {:>9.1}%",

@@ -1,8 +1,9 @@
 //! Fig. 20: throughput, GPU (A100 + flash-decoding + paged-attention) vs
 //! PIMphony, memory-matched.
 
+use bench::study::best_factorization;
 use llm_model::{LLM_72B_128K_GQA, LLM_72B_32K, LLM_7B_128K_GQA, LLM_7B_32K};
-use system::{GpuSystem, SystemConfig};
+use system::{GpuSystem, Scenario, TenantSpec};
 use workload::Dataset;
 
 fn main() {
@@ -22,9 +23,13 @@ fn main() {
         let trace = bench::trace_for(dataset, 24, 32);
         let gpu = GpuSystem::matched_for(&model);
         let g = gpu.throughput(&model, &trace);
-        // PIMphony at its best (TP, PP), like the ladder.
-        let rows = bench::ladder(SystemConfig::cent_for(&model), model, &trace);
-        let p = &rows.last().expect("ladder nonempty").1;
+        // PIMphony at its best (TP, PP), like the Fig. 13 ladder. The
+        // spec's tenant only satisfies validation: `trace` is served.
+        let spec = Scenario::new(model.name).tenant(TenantSpec::new("paper", dataset).requests(1));
+        let p = &best_factorization(&spec, &trace)
+            .expect("valid scenario")
+            .expect("a feasible factorization")
+            .report;
         println!(
             "{:<18} {:<14} {:>6} {:>12.1} {:>14.1} {:>8.2}x",
             model.name,

@@ -1,6 +1,7 @@
 //! Study runner: runs each `studies/*.json` grid point by point through
 //! `Scenario::materialize` → `Materialized::serve` and prints one line
-//! per point (the format is documented in `docs/studies.md`).
+//! per point, with the winning (TP, PP) for best-factorization studies
+//! (the format is documented in `docs/studies.md`).
 //!
 //! Run with: `cargo run --release -p bench --bin study --
 //! studies/*.json` (`--tiny` for the CI smoke grids, `--json <dir>` to
@@ -38,7 +39,7 @@ fn run(path: &str, args: &BenchArgs) -> Result<(), String> {
         if args.tiny { ", tiny" } else { "" }
     ));
     println!(
-        "{:<32} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}",
+        "{:<44} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}",
         "point",
         "req/s",
         "tok/s",
@@ -57,10 +58,14 @@ fn run(path: &str, args: &BenchArgs) -> Result<(), String> {
                 anchor = Some(rps);
                 println!("  (anchor: closed-world capacity {rps:.3} req/s)");
             }
-            let r = &p.report;
+            let Some(run) = &p.run else {
+                println!("{:<44} infeasible: no factorization fits", p.name);
+                return;
+            };
+            let r = &run.report;
             let l = &r.latency;
-            println!(
-                "{:<32} {:>9.3} {:>9.1} {:>9.1} {:>9.3} {:>9.3} {:>9.4} {:>9.3} {:>6} {:>6}",
+            print!(
+                "{:<44} {:>9.3} {:>9.1} {:>9.1} {:>9.3} {:>9.3} {:>9.4} {:>9.3} {:>6} {:>6}",
                 p.name,
                 p.rate,
                 r.tokens_per_second,
@@ -72,6 +77,10 @@ fn run(path: &str, args: &BenchArgs) -> Result<(), String> {
                 r.shed,
                 r.evictions,
             );
+            if study.best_factorization {
+                print!("  {}", run.materialized.evaluator.system().parallel);
+            }
+            println!();
         })
         .map_err(|e| format!("{path}: {e}"))?;
     if let Some(dir) = &args.json {

@@ -228,8 +228,30 @@ pub type RowField = fn(&Materialized, &ServingReport) -> Option<f64>;
 /// The registry of derived aggregate-row fields, by name. The
 /// KV-transfer fields exist only when the run reports pools
 /// (`per_pool` nonempty), so colocated rows stay byte-identical to the
-/// pre-disaggregation snapshot.
+/// pre-disaggregation snapshot; `tp`/`pp` (one replica's
+/// parallelization) exist only when it does not.
 pub const ROW_FIELDS: &[(&str, RowField)] = &[
+    ("tp", |m, _| {
+        m.pools
+            .is_empty()
+            .then(|| f64::from(m.evaluator.system().parallel.tp))
+    }),
+    ("pp", |m, _| {
+        m.pools
+            .is_empty()
+            .then(|| f64::from(m.evaluator.system().parallel.pp))
+    }),
+    ("mean_batch", |_, r| Some(r.mean_batch)),
+    ("attn_utilization", |_, r| Some(r.attn_utilization)),
+    // Attention's share of the modeled step time (attention + FC).
+    ("attn_share", |_, r| {
+        let step = r.attn_seconds + r.fc_seconds;
+        Some(if step > 0.0 {
+            r.attn_seconds / step
+        } else {
+            0.0
+        })
+    }),
     ("goodput", |_, r| Some(r.goodput())),
     ("shed", |_, r| Some(r.shed as f64)),
     ("prefix_cache_hits", |_, r| Some(r.prefix_cache_hits as f64)),

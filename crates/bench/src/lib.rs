@@ -1,9 +1,10 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! * `src/bin/fig*.rs`, `src/bin/table*.rs` regenerate the tables and
 //!   figures of the PIMphony paper (README.md lists them);
-//! * `study` runs the serving sweeps written as data
-//!   (`studies/*.json`, see [`study`] and `docs/studies.md`);
+//! * `study` runs the sweeps written as data (`studies/*.json`, see
+//!   [`study`] and `docs/studies.md`): the serving sweeps and the
+//!   Fig. 13/14/15 technique ladders;
 //! * `prefill_sweep` and `preemption_sweep` are the two serving sweeps
 //!   still written in Rust (their trace knobs have no spec key);
 //! * `scenario_check`, `sim_speed` and `check_regression` validate
@@ -18,8 +19,7 @@ pub mod study;
 
 use json::Json;
 use llm_model::ModelConfig;
-use pim_compiler::ParallelConfig;
-use system::{Evaluator, ServingReport, SystemConfig, Techniques};
+use system::{Evaluator, ServingReport};
 use workload::{Dataset, Trace, TraceBuilder};
 
 /// Prints a section header.
@@ -111,15 +111,6 @@ impl MetricSink {
         self.rows.push(row);
     }
 
-    /// Records every rung of a technique ladder as serving rows named
-    /// `{title}/{rung}`.
-    pub fn ladder(&mut self, title: &str, rows: &[(&'static str, ServingReport)]) {
-        for (label, report) in rows {
-            self.rows
-                .push(serving_row(&format!("{title}/{label}"), 0.0, report));
-        }
-    }
-
     /// Writes the collected rows if `--json` was requested.
     pub fn finish(self) {
         if let Some(path) = self.path {
@@ -165,85 +156,6 @@ pub fn trace_for(dataset: Dataset, requests: usize, decode_len: u64) -> Trace {
         .build()
 }
 
-/// Runs the base/+TCP/+DCS/+DPA ladder on one (system, model, trace),
-/// picking the best (TP, PP) factorization per configuration — the
-/// paper's "optimal TP/PP settings".
-pub fn ladder(
-    system: SystemConfig,
-    model: ModelConfig,
-    trace: &Trace,
-) -> Vec<(&'static str, ServingReport)> {
-    Techniques::ladder()
-        .into_iter()
-        .map(|t| {
-            let t_max = trace.iter().map(|r| r.final_len()).max().unwrap_or(0);
-            let best = ParallelConfig::factorizations(system.modules)
-                .into_iter()
-                .filter_map(|p| {
-                    let e = Evaluator::new(system.with_parallel(p), model, t);
-                    e.feasible(t_max).then(|| e.run_trace(trace))
-                })
-                .max_by(|a, b| {
-                    a.tokens_per_second
-                        .partial_cmp(&b.tokens_per_second)
-                        .expect("finite throughput")
-                })
-                .unwrap_or_else(|| Evaluator::new(system, model, t).run_trace(trace));
-            (t.label(), best)
-        })
-        .collect()
-}
-
-/// Formats a speedup column relative to the first entry.
-pub fn speedups(rows: &[(&'static str, ServingReport)]) -> Vec<(String, f64, f64)> {
-    let base = rows
-        .first()
-        .map(|(_, r)| r.tokens_per_second)
-        .unwrap_or(1.0)
-        .max(1e-12);
-    rows.iter()
-        .map(|(label, r)| {
-            (
-                label.to_string(),
-                r.tokens_per_second,
-                r.tokens_per_second / base,
-            )
-        })
-        .collect()
-}
-
-/// Prints a ladder as an aligned table.
-pub fn print_ladder(title: &str, rows: &[(&'static str, ServingReport)]) {
-    println!("\n{title}");
-    println!(
-        "{:<16} {:>14} {:>9} {:>10} {:>10}",
-        "config", "tokens/s", "speedup", "util", "batch"
-    );
-    for (label, tput, speedup) in speedups(rows) {
-        let report = &rows
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("label present")
-            .1;
-        println!(
-            "{:<16} {:>14.1} {:>8.2}x {:>9.1}% {:>10.1}",
-            label,
-            tput_or(tput),
-            speedup,
-            report.attn_utilization * 100.0,
-            report.mean_batch
-        );
-    }
-}
-
-fn tput_or(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
-}
-
 /// The models the evaluation sweeps (Table I).
 pub fn eval_models() -> [(ModelConfig, [Dataset; 2]); 4] {
     [
@@ -263,15 +175,5 @@ mod tests {
         let a = trace_for(Dataset::QmSum, 8, 16);
         let b = trace_for(Dataset::QmSum, 8, 16);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn speedups_are_relative_to_first() {
-        let sys = SystemConfig::cent_for(&llm_model::LLM_7B_32K);
-        let trace = trace_for(Dataset::QmSum, 4, 8);
-        let rows = ladder(sys, llm_model::LLM_7B_32K, &trace);
-        let s = speedups(&rows);
-        assert!((s[0].2 - 1.0).abs() < 1e-9);
-        assert!(s.last().unwrap().2 >= 1.0);
     }
 }

@@ -4,11 +4,12 @@
 //!
 //! The simulator is deterministic, so on unchanged code the fresh
 //! numbers reproduce the snapshot exactly and the gate is trivially
-//! green; the tolerances exist to ride out cross-platform libm
-//! differences in the trace generator's transcendentals while still
-//! catching real scheduling or pricing regressions. The logic lives in
-//! the library (unit-tested) and the `check_regression` binary is a
-//! thin CLI over it, so the gate also runs offline.
+//! green. The tolerances are meant as a margin for platform
+//! differences in the trace generator's floating-point transcendentals
+//! (libm), but no such difference has been measured. A real scheduling
+//! or pricing change smaller than a tolerance passes the gate. The
+//! logic lives in the library (unit-tested) and the `check_regression`
+//! binary is a thin CLI over it, so the gate also runs offline.
 
 use crate::json::Json;
 

@@ -3,7 +3,7 @@
 //! runs through the one spec-to-report path,
 //! `Scenario::materialize` → `Materialized::serve`.
 //!
-//! A study has five parts (the format is documented in
+//! A study has six parts (the format is documented in
 //! `docs/studies.md`):
 //!
 //! * `base` — a scenario spec, canonicalized by the scenario codec;
@@ -17,15 +17,19 @@
 //! * `rows` — the derived fields, tenant rows and pool rows each point
 //!   emits ([`RowSpec`]);
 //! * `tiny` — pointer overrides and axis-label subsets for the CI smoke
-//!   run.
+//!   run;
+//! * `best_factorization` — run each point at its fastest feasible
+//!   whole-node (TP, PP) ([`best_factorization`]), the paper's "optimal
+//!   TP/PP setting".
 //!
 //! Row names are the axis labels joined by `/` in axis order.
 
 use crate::cli::{report_rows, RowSpec, ROW_FIELDS, TENANT_FIELDS};
 use crate::json::Json;
+use pim_compiler::ParallelConfig;
 use std::collections::BTreeMap;
 use system::{Materialized, Scenario, ServingReport};
-use workload::ArrivalProcess;
+use workload::{ArrivalProcess, Trace};
 
 /// JSON pointer → value assignments, in file order.
 type Sets = Vec<(String, Json)>;
@@ -46,6 +50,8 @@ pub struct Study {
     rows: RowSpec,
     tiny_set: Sets,
     tiny_axes: TinyAxes,
+    /// Whether each point runs at its fastest feasible factorization.
+    pub best_factorization: bool,
 }
 
 #[derive(Debug)]
@@ -73,6 +79,17 @@ struct Point {
     load: Load,
 }
 
+/// One served scenario.
+#[derive(Debug)]
+pub struct Run {
+    /// The scenario that ran.
+    pub scenario: Scenario,
+    /// Its materialization.
+    pub materialized: Materialized,
+    /// Its serving report.
+    pub report: ServingReport,
+}
+
 /// One finished grid point.
 #[derive(Debug)]
 pub struct PointRun {
@@ -83,12 +100,49 @@ pub struct PointRun {
     /// The offered rate in requests/second: the load multiplier times
     /// the anchor, or the sum of the tenants' nominal rates.
     pub rate: f64,
-    /// The scenario that ran, load applied.
-    pub scenario: Scenario,
-    /// Its materialization.
-    pub materialized: Materialized,
-    /// Its serving report.
-    pub report: ServingReport,
+    /// The run, load applied (for a best-factorization study, at the
+    /// winning factorization); `None` when no factorization of a
+    /// best-factorization point is feasible.
+    pub run: Option<Run>,
+}
+
+/// The paper's "optimal TP/PP setting": serves `trace` under `scenario`
+/// at every whole-node factorization `(tp, pp)` of the scenario's node
+/// (`tp × pp` = modules, so one replica), skipping those whose KV
+/// capacity cannot hold the trace's longest request
+/// (`Evaluator::feasible`), and returns the fastest run by tokens/s
+/// (ties go to the later factorization). `None` means no factorization
+/// is feasible. The scenario must use the flat cluster sizing (no
+/// pools); its own `cluster.tp`/`pp` are ignored.
+pub fn best_factorization(scenario: &Scenario, trace: &Trace) -> Result<Option<Run>, String> {
+    if !scenario.cluster.pools.is_empty() {
+        return Err("best_factorization: the scenario must not list pools".to_string());
+    }
+    let modules = scenario
+        .system_config_for(&scenario.resolve_model()?)
+        .modules;
+    let t_max = trace.iter().map(|r| r.final_len()).max().unwrap_or(0);
+    let mut runs = Vec::new();
+    for p in ParallelConfig::factorizations(modules) {
+        let mut scenario = scenario.clone();
+        scenario.cluster.tp = p.tp;
+        scenario.cluster.pp = p.pp;
+        let materialized = scenario.materialize()?;
+        if materialized.evaluator.feasible(t_max) {
+            let report = materialized.serve(trace);
+            runs.push(Run {
+                scenario,
+                materialized,
+                report,
+            });
+        }
+    }
+    Ok(runs.into_iter().max_by(|a, b| {
+        a.report
+            .tokens_per_second
+            .partial_cmp(&b.report.tokens_per_second)
+            .expect("finite throughput")
+    }))
 }
 
 impl Study {
@@ -103,7 +157,18 @@ impl Study {
     /// and anchor pairing, row fields, tenant names and tiny subsets.
     pub fn parse(bench: &str, text: &str) -> Result<Study, String> {
         let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        check_keys(&doc, "study", &["base", "axes", "anchor", "rows", "tiny"])?;
+        check_keys(
+            &doc,
+            "study",
+            &[
+                "base",
+                "axes",
+                "anchor",
+                "rows",
+                "tiny",
+                "best_factorization",
+            ],
+        )?;
         let base_spec = Scenario::from_json(doc.get("base").ok_or("base: required scenario")?)
             .map_err(|e| format!("base: {e}"))?;
         let axes = doc
@@ -133,6 +198,14 @@ impl Study {
         if (loaded == 1) != anchor.is_some() {
             return Err("anchor: required exactly when an axis value carries a load".to_string());
         }
+        let best_factorization = match doc.get("best_factorization") {
+            None => false,
+            Some(Json::Bool(b)) => *b,
+            Some(_) => return Err("best_factorization: expected true or false".to_string()),
+        };
+        if best_factorization && loaded == 1 {
+            return Err("best_factorization: cannot be combined with a load axis".to_string());
+        }
         let rows = match doc.get("rows") {
             None => RowSpec::default(),
             Some(r) => parse_rows(r, &base_spec)?,
@@ -149,6 +222,7 @@ impl Study {
             rows,
             tiny_set,
             tiny_axes,
+            best_factorization,
         })
     }
 
@@ -268,23 +342,37 @@ impl Study {
             let materialized = scenario
                 .materialize()
                 .map_err(|e| format!("point {}: {e}", point.name))?;
-            let report = materialized.run();
-            let run = PointRun {
+            let run = if self.best_factorization {
+                best_factorization(&scenario, &materialized.trace)
+                    .map_err(|e| format!("point {}: {e}", point.name))?
+            } else {
+                let report = materialized.run();
+                Some(Run {
+                    scenario,
+                    materialized,
+                    report,
+                })
+            };
+            let done = PointRun {
                 name: point.name,
                 anchor_rps,
                 rate,
-                scenario,
-                materialized,
-                report,
+                run,
             };
-            rows.extend(report_rows(
-                &run.name,
-                run.rate,
-                &run.materialized,
-                &run.report,
-                &self.rows,
-            ));
-            on_point(&run);
+            match &done.run {
+                Some(r) => rows.extend(report_rows(
+                    &done.name,
+                    done.rate,
+                    &r.materialized,
+                    &r.report,
+                    &self.rows,
+                )),
+                None => rows.push(Json::obj([
+                    ("name", Json::str(&done.name)),
+                    ("infeasible", Json::Bool(true)),
+                ])),
+            }
+            on_point(&done);
         }
         Ok(rows)
     }
@@ -517,6 +605,10 @@ mod tests {
                 "no value labelled \"quarter\"",
             ),
             (r#", "extra": 1"#, "unknown key \"extra\""),
+            (
+                r#", "best_factorization": 1"#,
+                "best_factorization: expected true or false",
+            ),
         ] {
             let err = study(extra).unwrap_err();
             assert!(err.contains(needle), "{extra}: {err}");
@@ -541,7 +633,7 @@ mod tests {
         s.run(false, |r| {
             let total = 2.0 * r.anchor_rps.unwrap();
             assert_eq!(r.rate, total);
-            for t in &r.scenario.workload {
+            for t in &r.run.as_ref().unwrap().scenario.workload {
                 if let ArrivalProcess::Poisson { rate } | ArrivalProcess::Bursty { rate, .. } =
                     t.arrivals
                 {
@@ -554,6 +646,113 @@ mod tests {
         assert!(
             (rates[0] - 0.75).abs() < 1e-12 && (rates[1] - 0.25).abs() < 1e-12,
             "{rates:?}"
+        );
+    }
+
+    /// A one-tenant, eight-request spec on a `modules`-module CENT node.
+    fn ladder_base(modules: u32, policies: &str) -> String {
+        format!(
+            r#""base": {{"model": "LLM-7B-32K", "cluster": {{"modules": {modules}}},
+                "policies": {{{policies}}},
+                "workload": [{{"name": "a", "dataset": "QMSum", "requests": 8,
+                               "decode": {{"fixed": 8}}}}]}}"#
+        )
+    }
+
+    /// A row without its name.
+    fn unnamed(row: &Json) -> Json {
+        let Json::Obj(pairs) = row else {
+            panic!("row is not an object: {row:?}")
+        };
+        Json::Obj(pairs.iter().filter(|(k, _)| k != "name").cloned().collect())
+    }
+
+    #[test]
+    fn best_factorization_row_is_the_fastest_written_out_factorization() {
+        let base = ladder_base(12, "");
+        let rows = r#""rows": {"fields": ["tp", "pp", "mean_batch"]}"#;
+        let best = Study::parse(
+            "t",
+            &format!(
+                r#"{{{base}, {rows}, "best_factorization": true,
+                    "axes": [{{"name": "x", "values": [{{"label": "best"}}]}}]}}"#
+            ),
+        )
+        .unwrap()
+        .run(false, |_| {})
+        .unwrap();
+        let grid = Study::parse(
+            "t",
+            &format!(
+                r#"{{{base}, {rows}, "axes": [{{"name": "parallel", "values": [
+                    {{"label": "1x12", "set": {{"/cluster/tp": 1, "/cluster/pp": 12}}}},
+                    {{"label": "2x6", "set": {{"/cluster/tp": 2, "/cluster/pp": 6}}}},
+                    {{"label": "3x4", "set": {{"/cluster/tp": 3, "/cluster/pp": 4}}}},
+                    {{"label": "4x3", "set": {{"/cluster/tp": 4, "/cluster/pp": 3}}}},
+                    {{"label": "6x2", "set": {{"/cluster/tp": 6, "/cluster/pp": 2}}}},
+                    {{"label": "12x1", "set": {{"/cluster/tp": 12, "/cluster/pp": 1}}}}]}}]}}"#
+            ),
+        )
+        .unwrap()
+        .run(false, |_| {})
+        .unwrap();
+        let tput = |r: &&Json| r.get("tokens_per_second").and_then(Json::as_f64).unwrap();
+        let fastest = grid
+            .iter()
+            .max_by(|a, b| tput(a).partial_cmp(&tput(b)).unwrap())
+            .unwrap();
+        assert_eq!(best.len(), 1);
+        assert_eq!(unnamed(&best[0]), unnamed(fastest));
+    }
+
+    #[test]
+    fn best_factorization_tries_only_whole_node_factorizations() {
+        // On 12 modules, two TP=2 x PP=3 replicas outrun every one-replica
+        // factorization of the node; the search must not pick them.
+        let spec = Scenario::parse(
+            r#"{"model": "LLM-7B-32K", "cluster": {"modules": 12, "tp": 2, "pp": 3},
+                "workload": [{"name": "a", "dataset": "QMSum", "requests": 8,
+                              "decode": {"fixed": 8}}]}"#,
+        )
+        .unwrap();
+        let m = spec.materialize().unwrap();
+        let split = m.run();
+        let best = best_factorization(&spec, &m.trace).unwrap().unwrap();
+        assert!(split.tokens_per_second > best.report.tokens_per_second);
+        let sys = best.materialized.evaluator.system();
+        assert_eq!(sys.parallel.tp * sys.parallel.pp, 12);
+        assert_eq!(sys.replicas(), 1);
+        assert_eq!(
+            (best.scenario.cluster.tp, best.scenario.cluster.pp),
+            (sys.parallel.tp, sys.parallel.pp)
+        );
+    }
+
+    #[test]
+    fn a_point_with_no_feasible_factorization_emits_the_infeasible_row() {
+        let base = ladder_base(8, r#""kv_capacity_factor": 1e-9"#);
+        let study = Study::parse(
+            "t",
+            &format!(
+                r#"{{{base}, "best_factorization": true,
+                    "axes": [{{"name": "x", "values": [{{"label": "tight"}}]}}]}}"#
+            ),
+        )
+        .unwrap();
+        let mut runs = 0;
+        let rows = study
+            .run(false, |p| {
+                assert!(p.run.is_none(), "{}", p.name);
+                runs += 1;
+            })
+            .unwrap();
+        assert_eq!(runs, 1);
+        assert_eq!(
+            rows,
+            [Json::obj([
+                ("name", Json::str("tight")),
+                ("infeasible", Json::Bool(true))
+            ])]
         );
     }
 }

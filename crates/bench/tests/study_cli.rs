@@ -1,5 +1,5 @@
-//! The `study` runner end to end: the checked-in `studies/*.json` tiny
-//! grids reproduce the `BENCH_serving.json` snapshot rows, and bad
+//! The `study` runner end to end: every checked-in `studies/*.json`
+//! tiny grid reproduces the `BENCH_serving.json` snapshot rows, and bad
 //! input — a malformed study, a mistyped switch — exits with a message
 //! naming it instead of panicking or being silently ignored.
 
@@ -7,17 +7,21 @@ use bench::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// The benches the checked-in studies write.
-const STUDIES: [&str; 5] = [
-    "latency_curve",
-    "router_compare",
-    "prefix_cache",
-    "goodput_frontier",
-    "disagg_frontier",
-];
-
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The benches the checked-in studies write: the stems of
+/// `studies/*.json`, sorted.
+fn studies() -> Vec<String> {
+    let mut stems: Vec<String> = std::fs::read_dir(repo_root().join("studies"))
+        .expect("read studies/")
+        .map(|e| e.expect("studies/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
+        .collect();
+    stems.sort();
+    stems
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -61,8 +65,10 @@ fn shape(bench: &Json) -> Vec<(String, Vec<String>)> {
 fn tiny_studies_reproduce_the_snapshot() {
     let out_dir = scratch("study-json");
     let _ = std::fs::remove_dir_all(&out_dir);
+    let studies = studies();
+    assert!(studies.len() >= 8, "{studies:?}");
     let mut args = vec!["--tiny", "--json", out_dir.to_str().expect("utf-8 path")];
-    let files: Vec<String> = STUDIES
+    let files: Vec<String> = studies
         .iter()
         .map(|b| format!("studies/{b}.json"))
         .collect();
@@ -71,7 +77,7 @@ fn tiny_studies_reproduce_the_snapshot() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
     let snapshot = read(&repo_root().join("BENCH_serving.json"));
-    let fresh: Vec<Json> = STUDIES
+    let fresh: Vec<Json> = studies
         .iter()
         .map(|b| read(&out_dir.join(format!("{b}.json"))))
         .collect();
@@ -83,11 +89,14 @@ fn tiny_studies_reproduce_the_snapshot() {
         .get("benches")
         .and_then(Json::as_arr)
         .expect("benches");
-    for (bench, doc) in STUDIES.iter().zip(&fresh) {
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some(*bench));
+    for (bench, doc) in studies.iter().zip(&fresh) {
+        assert_eq!(
+            doc.get("bench").and_then(Json::as_str),
+            Some(bench.as_str())
+        );
         let pinned = benches
             .iter()
-            .find(|b| b.get("bench").and_then(Json::as_str) == Some(*bench))
+            .find(|b| b.get("bench").and_then(Json::as_str) == Some(bench.as_str()))
             .unwrap_or_else(|| panic!("{bench} missing from the snapshot"));
         assert_eq!(
             shape(doc),

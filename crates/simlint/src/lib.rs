@@ -62,8 +62,8 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Whether `rel` lies in a test-only tree (integration tests, criterion
-/// benches, runnable examples) — exempt from every rule.
+/// Whether `rel` lies in a test-only tree (integration tests, benches,
+/// runnable examples) — exempt from every rule.
 fn is_test_path(rel: &str) -> bool {
     rel.split('/')
         .any(|c| c == "tests" || c == "benches" || c == "examples")
