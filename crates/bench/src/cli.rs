@@ -11,27 +11,15 @@
 //! machine-readable rows the regression gate pins: [`report_rows`]
 //! builds the aggregate, tenant and pool rows a [`RowSpec`] asks for,
 //! and [`ROW_FIELDS`] / [`TENANT_FIELDS`] are the one registry of
-//! derived fields (goodput, prefix hit rate, transfer accounting, ...)
-//! shared by `scenario_check` ([`scenario_rows`]), the `study` runner
-//! ([`crate::study`]) and `preemption_sweep`.
-//!
-//! The standard sweep shape (seed, decode range) shared by the
-//! remaining hand-written sweeps (`prefill_sweep`, `preemption_sweep`)
-//! also lives here; the checked-in `studies/*.json` use the same
-//! values.
+//! derived fields (goodput, prefix hit rate, per-class TTFT, transfer
+//! accounting, ...) shared by `scenario_check` ([`scenario_rows`]) and
+//! the `study` runner ([`crate::study`]).
 
 use crate::json::Json;
 use crate::{push_row_field, serving_row};
 use system::{
     Materialized, RouterKind, Scenario, ServingReport, SheddingPolicy, TenantLatency, VictimOrder,
 };
-
-/// The shared RNG seed of the serving sweeps.
-pub const SEED: u64 = 2026;
-/// The shared decode-budget lower bound of the serving sweeps.
-pub const DECODE_LO: u64 = 16;
-/// The shared decode-budget upper bound of the serving sweeps.
-pub const DECODE_HI: u64 = 96;
 
 /// The switches of the bench binaries. Each binary accepts the subset
 /// it names in [`BenchArgs::parse`].
@@ -267,6 +255,9 @@ pub const ROW_FIELDS: &[(&str, RowField)] = &[
     ("kv_capacity_factor", |m, _| {
         Some(m.evaluator.policies().kv_capacity_factor)
     }),
+    // p99 TTFT of priority class 1 (interactive) and class 0 (batch).
+    ("ttft_p99_high", |_, r| Some(class_p99(r, 1))),
+    ("ttft_p99_low", |_, r| Some(class_p99(r, 0))),
     ("kv_transferred_bytes", |_, r| {
         (!r.per_pool.is_empty()).then_some(r.kv_transferred_bytes as f64)
     }),
@@ -274,6 +265,15 @@ pub const ROW_FIELDS: &[(&str, RowField)] = &[
         (!r.per_pool.is_empty()).then_some(r.transfer_seconds)
     }),
 ];
+
+/// p99 TTFT of one priority class of a run (0 when the class is
+/// absent).
+fn class_p99(r: &ServingReport, priority: u8) -> f64 {
+    r.latency_by_priority
+        .iter()
+        .find(|p| p.priority == priority)
+        .map_or(0.0, |p| p.latency.ttft.p99)
+}
 
 /// A derived tenant-row field: its value for one tenant of a run.
 pub type TenantField = fn(&ServingReport, &TenantLatency) -> f64;

@@ -3,10 +3,8 @@
 //! * `src/bin/fig*.rs`, `src/bin/table*.rs` regenerate the tables and
 //!   figures of the PIMphony paper (README.md lists them);
 //! * `study` runs the sweeps written as data (`studies/*.json`, see
-//!   [`study`] and `docs/studies.md`): the serving sweeps and the
+//!   [`study`] and `docs/studies.md`): every serving sweep and the
 //!   Fig. 13/14/15 technique ladders;
-//! * `prefill_sweep` and `preemption_sweep` are the two serving sweeps
-//!   still written in Rust (their trace knobs have no spec key);
 //! * `scenario_check`, `sim_speed` and `check_regression` validate
 //!   specs, time the simulator and gate fresh rows against
 //!   `BENCH_serving.json`.
@@ -74,12 +72,12 @@ pub fn push_row_field(row: &mut Json, key: &str, value: Json) {
 /// Row collector giving any bench binary a `--json <path>` mode.
 ///
 /// Figure/table binaries record each printed number as a named scalar
-/// (`metric`) and serving binaries record full [`serving_row`]s (`row`);
-/// on [`MetricSink::finish`] the rows are written as the standard
-/// `{"bench": ..., "rows": [...]}` document if `--json` was passed, and
-/// discarded otherwise — so instrumenting a binary costs nothing when
-/// the flag is absent. Scalar rows carry only `name`/`value` keys; the
-/// regression gate ignores them unless they are added to the snapshot.
+/// (`metric`); on [`MetricSink::finish`] the rows are written as the
+/// standard `{"bench": ..., "rows": [...]}` document if `--json` was
+/// passed, and discarded otherwise — so instrumenting a binary costs
+/// nothing when the flag is absent. Scalar rows carry only
+/// `name`/`value` keys; the regression gate ignores them unless they
+/// are added to the snapshot.
 pub struct MetricSink {
     bench: &'static str,
     path: Option<String>,
@@ -104,11 +102,6 @@ impl MetricSink {
             ("name".to_string(), Json::Str(name.into())),
             ("value".to_string(), Json::num(value)),
         ]));
-    }
-
-    /// Records a full serving-report row (see [`serving_row`]).
-    pub fn row(&mut self, row: Json) {
-        self.rows.push(row);
     }
 
     /// Writes the collected rows if `--json` was requested.
@@ -137,9 +130,8 @@ pub fn write_bench_json(path: &str, bench: &str, rows: Vec<Json>) {
 /// run of `trace` through `eval` — prefill included whenever the
 /// evaluator has it enabled, so online sweeps anchored on this rate use
 /// the same cost model they measure. Returns the closed-world report
-/// together with the capacity in requests/second. Shared by the serving
-/// sweeps (a study's `anchor`, `prefill_sweep`, `preemption_sweep`) so
-/// their load axes stay comparable.
+/// together with the capacity in requests/second. A study's `anchor`
+/// measures its load axis with it.
 pub fn closed_world_capacity(eval: &Evaluator, trace: &Trace) -> (ServingReport, f64) {
     let closed = eval.run_trace(trace);
     let rps = trace.len() as f64 / closed.seconds.max(f64::MIN_POSITIVE);

@@ -66,7 +66,7 @@ fn tiny_studies_reproduce_the_snapshot() {
     let out_dir = scratch("study-json");
     let _ = std::fs::remove_dir_all(&out_dir);
     let studies = studies();
-    assert!(studies.len() >= 8, "{studies:?}");
+    assert!(studies.len() >= 12, "{studies:?}");
     let mut args = vec!["--tiny", "--json", out_dir.to_str().expect("utf-8 path")];
     let files: Vec<String> = studies
         .iter()

@@ -19,11 +19,11 @@
 //! xPU+PIM), a technique set, a multi-tenant workload, the cluster
 //! sizing, and the serving [`PolicySpec`] — one serializable value,
 //! also loadable from the checked-in `scenarios/*.json` files.
-//! [`Orchestrator::from_scenario`] materializes it into a runnable
-//! orchestrator plus the merged tenant-tagged trace it describes, and
-//! [`Orchestrator::serve`] runs any trace through the same
-//! [`Materialized::serve`] path the bench binaries use — pools, routers
-//! and threads included.
+//! [`Scenario::materialize`] turns it into a [`Materialized`]
+//! simulation holding the configured evaluators and the merged
+//! tenant-tagged trace; [`Materialized::run`] serves that trace and
+//! [`Materialized::serve`] any other, through the one path every bench
+//! binary uses — pools, routers and threads included.
 //!
 //! The policies cover the serving line the paper's orchestrator plugs
 //! into:
@@ -32,13 +32,13 @@
 //!   evaluation (admit a batch, decode it to completion, repeat;
 //!   Figs. 13–15/17); `continuous` is event-driven continuous batching
 //!   for online traffic with TTFT/TPOT/E2E percentiles in
-//!   [`ServingReport::latency`].
+//!   [`ServingReport::latency`](system::ServingReport::latency).
 //! * **Routing** — arrivals are dispatched in global time order by a
 //!   pluggable load balancer (round-robin, join-shortest-queue,
 //!   least-loaded, least-prefill, SLO-aware); replica simulations run
 //!   on `cluster.threads` threads with byte-identical results whatever
 //!   the count, and reports carry a per-replica breakdown
-//!   ([`ServingReport::per_replica`]).
+//!   ([`ServingReport::per_replica`](system::ServingReport::per_replica)).
 //! * **Memory pressure** — continuous batching admits in priority order
 //!   and can preempt (`evict-restart` / `evict-pause`), with
 //!   `kv_capacity_factor` dialing the pressure; paged KV with prefix
@@ -47,13 +47,13 @@
 //!
 //! Reports of multi-tenant specs carry per-tenant latency percentiles,
 //! SLO attainment, and Jain tenant fairness
-//! ([`ServingReport::latency_by_tenant`]).
+//! ([`ServingReport::latency_by_tenant`](system::ServingReport::latency_by_tenant)).
 //!
 //! # Quickstart (paper-figure throughput)
 //!
 //! ```no_run
 //! use pimphony::workload::{Dataset, DecodeSpec};
-//! use pimphony::{Orchestrator, Scenario, TenantSpec};
+//! use pimphony::{Scenario, TenantSpec};
 //!
 //! // PIM-only sizing, all three techniques, wave scheduling.
 //! let spec = Scenario::new("LLM-7B-32K").tenant(
@@ -61,8 +61,7 @@
 //!         .requests(32)
 //!         .decode(DecodeSpec::Fixed(64)),
 //! );
-//! let (orchestrator, trace) = Orchestrator::from_scenario(&spec)?;
-//! let report = orchestrator.serve(&trace);
+//! let report = spec.materialize()?.run();
 //! println!("{:.1} tok/s at batch {:.1}", report.tokens_per_second, report.mean_batch);
 //! # Ok::<(), String>(())
 //! ```
@@ -72,7 +71,7 @@
 //! ```no_run
 //! use pimphony::system::SchedulingPolicy;
 //! use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec};
-//! use pimphony::{Orchestrator, PolicySpec, Scenario, TenantSpec};
+//! use pimphony::{PolicySpec, Scenario, TenantSpec};
 //!
 //! // 6 req/s Poisson arrivals with production-like response-length spread.
 //! let mut spec = Scenario::new("LLM-7B-32K").tenant(
@@ -85,8 +84,7 @@
 //!     scheduling: SchedulingPolicy::Continuous,
 //!     ..PolicySpec::default()
 //! };
-//! let (orchestrator, trace) = Orchestrator::from_scenario(&spec)?;
-//! let report = orchestrator.serve(&trace);
+//! let report = spec.materialize()?.run();
 //! let l = &report.latency;
 //! println!(
 //!     "{:.1} tok/s | TTFT p50/p95/p99 {:.3}/{:.3}/{:.3}s | TPOT p50 {:.4}s",
@@ -111,63 +109,12 @@ pub use workload;
 /// cluster + policy.
 pub use system::scenario::{ClusterSpec, Materialized, PolicySpec, Scenario, TenantSpec};
 
-use system::{Evaluator, IterationBreakdown, ServingReport};
-use workload::Trace;
-
-/// Top-level handle evaluating a PIM serving system on traces: a
-/// [`Scenario`] and its [`Materialized`] simulation.
-#[derive(Debug)]
-pub struct Orchestrator {
-    scenario: Scenario,
-    materialized: Materialized,
-}
-
-impl Orchestrator {
-    /// Materializes a declarative scenario into an orchestrator plus
-    /// the merged multi-tenant trace it describes — `serve(&trace)`
-    /// then runs the whole experiment the spec named.
-    pub fn from_scenario(scenario: &Scenario) -> Result<(Orchestrator, Trace), String> {
-        let materialized = scenario.materialize()?;
-        let trace = materialized.trace.clone();
-        Ok((
-            Orchestrator {
-                scenario: scenario.clone(),
-                materialized,
-            },
-            trace,
-        ))
-    }
-
-    /// Serves a trace through [`Materialized::serve`] — the spec's
-    /// pools, routers and thread count included — returning the
-    /// throughput/latency/energy report. Results are independent of
-    /// the thread count.
-    pub fn serve(&self, trace: &Trace) -> ServingReport {
-        self.materialized.serve(trace)
-    }
-
-    /// One decode iteration for an explicit `(request id, tokens)` batch
-    /// on the flat (pool-free) evaluator.
-    pub fn iteration(&self, batch: &[(u64, u64)]) -> IterationBreakdown {
-        self.materialized.evaluator.iteration(batch)
-    }
-
-    /// The flat (pool-free) evaluator; pooled specs carry one per pool
-    /// in [`Materialized::pools`].
-    pub fn evaluator(&self) -> &Evaluator {
-        &self.materialized.evaluator
-    }
-
-    /// The declarative spec this orchestrator was built from.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use system::{PrefillConfig, RouterKind, SchedulingPolicy, SystemKind, Techniques};
+    use system::{
+        PrefillConfig, RouterKind, SchedulingPolicy, ServingReport, SystemKind, Techniques,
+    };
     use workload::{ArrivalProcess, Dataset, DecodeSpec};
 
     /// A one-tenant LLM-7B-32K spec over `tenant`.
@@ -183,8 +130,7 @@ mod tests {
     }
 
     fn serve(s: &Scenario) -> ServingReport {
-        let (o, trace) = Orchestrator::from_scenario(s).expect("materialize");
-        o.serve(&trace)
+        s.materialize().expect("materialize").run()
     }
 
     #[test]
@@ -204,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn orchestrator_from_scenario_serves_multi_tenant_specs() {
+    fn materialized_serves_multi_tenant_specs() {
         let mut s = Scenario::new("LLM-7B-32K");
         s.cluster.tp = 2;
         s.policies.scheduling = SchedulingPolicy::Continuous;
@@ -225,21 +171,15 @@ mod tests {
                     .seed(4)
                     .decode(DecodeSpec::Fixed(32)),
             );
-        let (o, trace) = Orchestrator::from_scenario(&s).expect("materialize");
-        assert_eq!(trace.len(), 14);
-        assert_eq!(o.scenario(), &s);
-        let r = o.serve(&trace);
-        assert_eq!(
-            r,
-            s.materialize().unwrap().run(),
-            "one path from spec to report"
-        );
+        let m = s.materialize().expect("materialize");
+        assert_eq!(m.trace.len(), 14);
+        let r = m.run();
         assert_eq!(r.latency.completed, 14);
         assert_eq!(r.latency_by_tenant.len(), 2);
         assert!((0.0..=1.0).contains(&r.latency_by_tenant[0].slo_attainment));
         assert!(r.tenant_fairness() > 0.0);
         // A broken spec surfaces as an error, not a panic.
-        assert!(Orchestrator::from_scenario(&Scenario::new("nope")).is_err());
+        assert!(Scenario::new("nope").materialize().is_err());
     }
 
     #[test]
@@ -261,16 +201,17 @@ mod tests {
         let mut s = spec(TenantSpec::new("t", Dataset::QmSum));
         s.cluster.tp = 2;
         s.cluster.pp = 4;
-        let (o, _) = Orchestrator::from_scenario(&s).expect("materialize");
-        assert_eq!(o.evaluator().system().parallel.tp, 2);
-        assert_eq!(o.evaluator().system().parallel.pp, 4);
+        let m = s.materialize().expect("materialize");
+        assert_eq!(m.evaluator.system().parallel.tp, 2);
+        assert_eq!(m.evaluator.system().parallel.pp, 4);
     }
 
     #[test]
     fn iteration_is_exposed() {
-        let (o, _) =
-            Orchestrator::from_scenario(&spec(TenantSpec::new("t", Dataset::QmSum))).unwrap();
-        let it = o.iteration(&[(0, 8192), (1, 4096)]);
+        let m = spec(TenantSpec::new("t", Dataset::QmSum))
+            .materialize()
+            .unwrap();
+        let it = m.evaluator.iteration(&[(0, 8192), (1, 4096)]);
         assert!(it.seconds > 0.0);
         assert!(it.attn_seconds > 0.0);
     }
@@ -322,8 +263,9 @@ mod tests {
                 .decode(DecodeSpec::Uniform(8, 32))
                 .arrivals(ArrivalProcess::Poisson { rate: 3.0 }),
         );
-        let (o, trace) = Orchestrator::from_scenario(&s).expect("materialize");
-        let r = o.serve(&trace);
+        let m = s.materialize().expect("materialize");
+        let r = m.run();
+        let trace = &m.trace;
         assert_eq!(r.latency.completed, trace.len() as u64);
         assert!(r.latency.ttft.p50 > 0.0);
         assert!(r.latency.ttft.p50 <= r.latency.ttft.p99);

@@ -52,7 +52,7 @@ use crate::serve::{Evaluator, ServingReport};
 use jsonio::Json;
 use llm_model::ModelConfig;
 use pim_compiler::ParallelConfig;
-use workload::{ArrivalProcess, Dataset, DecodeSpec, Trace, TraceBuilder};
+use workload::{ArrivalProcess, Dataset, DatasetStats, DecodeSpec, Trace, TraceBuilder};
 
 /// One tenant's traffic in a scenario: its own dataset, volume, decode
 /// spec, arrival process, priority class, and optional TTFT SLO.
@@ -74,6 +74,11 @@ pub struct TenantSpec {
     /// (higher is more urgent; priority diversity across tenants is
     /// what lets preemption policies evict).
     pub priority: u8,
+    /// Priority classes the tenant's requests are drawn from: each
+    /// request's class is uniform over `0..priority_levels`, drawn as
+    /// `TraceBuilder::priority_levels` draws it. 1 (the default) gives
+    /// every request `priority`; more levels require `priority` 0.
+    pub priority_levels: u8,
     /// Optional TTFT SLO target in seconds — the report's per-tenant
     /// attainment is the fraction of completed requests meeting it.
     pub slo_ttft_p99: Option<f64>,
@@ -83,6 +88,12 @@ pub struct TenantSpec {
     /// `policies.prefix_caching` on, shared tokens hit the page-level
     /// prefix cache after the tenant's first admission.
     pub shared_prefix: u64,
+    /// Factor on the dataset's context-length distribution: its mean,
+    /// std, min and max are multiplied by it (min and max truncated to
+    /// integers), and the max is capped so the longest prompt plus the
+    /// largest decode budget fits the model's context window. 1.0 (the
+    /// default) is the dataset itself.
+    pub context_scale: f64,
 }
 
 impl TenantSpec {
@@ -98,8 +109,10 @@ impl TenantSpec {
             decode: DecodeSpec::Fixed(256),
             arrivals: ArrivalProcess::Batch,
             priority: 0,
+            priority_levels: 1,
             slo_ttft_p99: None,
             shared_prefix: 0,
+            context_scale: 1.0,
         }
     }
 
@@ -145,21 +158,44 @@ impl TenantSpec {
         self
     }
 
-    /// Builds this tenant's trace, tagged with `tenant`.
-    fn build_trace(&self, tenant: u8) -> Trace {
-        TraceBuilder::new(self.dataset)
+    /// The context-length statistics this tenant's prompts are drawn
+    /// from: the dataset's, scaled by [`Self::context_scale`], with the
+    /// max capped at `context_window` minus the largest decode budget.
+    fn context_stats(&self, context_window: u64) -> DatasetStats {
+        let s = self.dataset.stats();
+        let k = self.context_scale;
+        let (DecodeSpec::Fixed(decode) | DecodeSpec::Uniform(_, decode)) = self.decode;
+        DatasetStats {
+            mean: s.mean * k,
+            std: s.std * k,
+            min: (s.min as f64 * k) as u64,
+            max: ((s.max as f64 * k) as u64).min(context_window.saturating_sub(decode)),
+            ..s
+        }
+    }
+
+    /// Builds this tenant's trace, tagged with `tenant`, for a model
+    /// with `context_window` tokens.
+    fn build_trace(&self, tenant: u8, context_window: u64) -> Trace {
+        let mut builder = TraceBuilder::from_stats(self.context_stats(context_window))
             .seed(self.seed)
             .requests(self.requests)
             .decode(self.decode)
             .arrivals(self.arrivals)
-            .priority(self.priority)
+            .priority_levels(self.priority_levels)
             .tenant(tenant)
-            .shared_prefix(self.shared_prefix)
-            .build()
+            .shared_prefix(self.shared_prefix);
+        // A fixed priority would override the drawn levels; validation
+        // keeps it 0 whenever levels are drawn.
+        if self.priority > 0 {
+            builder = builder.priority(self.priority);
+        }
+        builder.build()
     }
 
-    /// Validates the spec, naming the offending field.
-    fn validate(&self, idx: usize) -> Result<(), String> {
+    /// Validates the spec for a model with `context_window` tokens,
+    /// naming the offending field.
+    fn validate(&self, idx: usize, context_window: u64) -> Result<(), String> {
         if self.requests == 0 {
             return Err(format!(
                 "workload[{idx}] ({}): requests must be > 0",
@@ -204,6 +240,34 @@ impl TenantSpec {
                     self.name
                 ));
             }
+        }
+        if self.priority_levels == 0 {
+            return Err(format!(
+                "workload[{idx}] ({}): priority_levels must be >= 1",
+                self.name
+            ));
+        }
+        if self.priority_levels > 1 && self.priority != 0 {
+            return Err(format!(
+                "workload[{idx}] ({}): priority_levels {} draws each request's priority, \
+                 so priority must be 0, got {}",
+                self.name, self.priority_levels, self.priority
+            ));
+        }
+        if !(self.context_scale > 0.0 && self.context_scale.is_finite()) {
+            return Err(format!(
+                "workload[{idx}] ({}): context_scale must be positive and finite",
+                self.name
+            ));
+        }
+        let stats = self.context_stats(context_window);
+        if stats.min > stats.max {
+            return Err(format!(
+                "workload[{idx}] ({}): context_scale {} puts the shortest prompt at {} \
+                 tokens, above the longest that fits the context window with the \
+                 decode budget ({} tokens)",
+                self.name, self.context_scale, stats.min, stats.max
+            ));
         }
         Ok(())
     }
@@ -442,7 +506,7 @@ impl Scenario {
     /// knobs. Shared by [`Self::materialize`] and [`Self::from_json`],
     /// so a spec file that cannot materialize does not parse either.
     pub fn validate(&self) -> Result<(), String> {
-        self.resolve_model()?;
+        let model = self.resolve_model()?;
         if self.workload.is_empty() {
             return Err("workload must name at least one tenant".to_string());
         }
@@ -450,7 +514,7 @@ impl Scenario {
             return Err("at most 256 tenants are supported (tenant ids are u8)".to_string());
         }
         for (i, t) in self.workload.iter().enumerate() {
-            t.validate(i)?;
+            t.validate(i, model.context_window)?;
         }
         if !(self.policies.kv_capacity_factor > 0.0 && self.policies.kv_capacity_factor.is_finite())
         {
@@ -467,6 +531,19 @@ impl Scenario {
         }
         if !(kt.gbps > 0.0 && kt.gbps.is_finite()) {
             return Err("policies.kv_transfer_gbps must be positive and finite".to_string());
+        }
+        if self.cluster.pools.is_empty() && self.cluster.tp > 0 {
+            // The node must hold one replica: `SystemConfig::replicas`
+            // would round a fraction of one up to a whole replica
+            // built from modules that do not exist.
+            let replica = u64::from(self.cluster.tp) * u64::from(self.cluster.pp.max(1));
+            let modules = self.system_config_for(&model).modules;
+            if replica > u64::from(modules) {
+                return Err(format!(
+                    "cluster: one replica (tp × pp = {replica} modules) does not fit the \
+                     node's {modules} modules"
+                ));
+            }
         }
         self.validate_pools()
     }
@@ -537,7 +614,7 @@ impl Scenario {
             self.workload
                 .iter()
                 .enumerate()
-                .map(|(i, t)| t.build_trace(i as u8)),
+                .map(|(i, t)| t.build_trace(i as u8, model.context_window)),
         );
         let pools = self
             .cluster
@@ -888,6 +965,13 @@ const TENANT_FIELDS: &[Field<TenantSpec>] = &[
     plain!("decode", decode),
     plain!("arrivals", arrivals),
     plain!("priority", priority),
+    // The two trace-shape keys are written only off-default, keeping
+    // spec files that predate them canonical.
+    field(
+        "priority_levels",
+        |t| t.priority_levels.write().filter(|_| t.priority_levels != 1),
+        |t, v| set(&mut t.priority_levels, Value::read(v)),
+    ),
     // Written as `null` when unset.
     field(
         "slo_ttft_p99",
@@ -901,6 +985,11 @@ const TENANT_FIELDS: &[Field<TenantSpec>] = &[
         },
     ),
     plain!("shared_prefix", shared_prefix),
+    field(
+        "context_scale",
+        |t| t.context_scale.write().filter(|_| t.context_scale != 1.0),
+        |t, v| set(&mut t.context_scale, Value::read(v)),
+    ),
 ];
 
 /// Serializes `value` as an object, keys in table order.
@@ -1371,9 +1460,13 @@ mod tests {
     }
 
     /// A fully populated spec: pools with every optional key, an
-    /// off-default transfer link, and a bursty uniform-decode tenant.
+    /// off-default transfer link, and a bursty uniform-decode tenant
+    /// with drawn priorities and scaled contexts.
     fn every_key_scenario() -> Scenario {
         let mut s = two_tenant_scenario();
+        s.workload[0].priority = 0;
+        s.workload[0].priority_levels = 2;
+        s.workload[0].context_scale = 0.75;
         s.policies.kv_transfer.gbps = 32.0;
         s.policies.router = RouterKind::LeastLoaded;
         s.cluster.pools = vec![
@@ -1659,5 +1752,162 @@ mod tests {
         let back = Scenario::parse(&big.to_pretty()).expect("parse back");
         assert_eq!(back.cluster.modules, 200);
         assert_eq!(back, big);
+    }
+
+    /// A one-tenant spec: a bursty QMSum tenant with ranged decode
+    /// budgets whose object ends with the `extra` JSON fields.
+    fn tenant_spec(extra: &str) -> Result<Scenario, String> {
+        Scenario::parse(&format!(
+            r#"{{"model": "LLM-7B-32K",
+                "workload": [{{"name": "t", "dataset": "QMSum", "requests": 48, "seed": 7,
+                               "decode": {{"lo": 16, "hi": 96}},
+                               "arrivals": {{"process": "bursty", "rate": 2, "cv": 2.5}}{extra}}}]}}"#
+        ))
+    }
+
+    /// The builder chain a default tenant of [`tenant_spec`] stands for.
+    fn tenant_builder() -> TraceBuilder {
+        TraceBuilder::new(Dataset::QmSum)
+            .seed(7)
+            .requests(48)
+            .decode_range(16, 96)
+            .bursty(2.0, 2.5)
+    }
+
+    fn trace_of(s: &Scenario) -> Trace {
+        s.materialize().expect("materialize").trace
+    }
+
+    #[test]
+    fn priority_levels_draw_what_the_trace_builder_draws() {
+        let s = tenant_spec(r#", "priority_levels": 3"#).unwrap();
+        let trace = trace_of(&s);
+        assert_eq!(trace, tenant_builder().priority_levels(3).build());
+        let classes: std::collections::BTreeSet<u8> = trace.iter().map(|r| r.priority).collect();
+        assert_eq!(classes.into_iter().collect::<Vec<_>>(), [0, 1, 2]);
+    }
+
+    #[test]
+    fn omitted_trace_shape_keys_give_a_byte_identical_trace() {
+        let plain = tenant_spec("").unwrap();
+        assert_eq!(trace_of(&plain), tenant_builder().build());
+        let explicit = tenant_spec(r#", "priority_levels": 1, "context_scale": 1"#).unwrap();
+        assert_eq!(explicit, plain);
+        assert_eq!(trace_of(&explicit), trace_of(&plain));
+    }
+
+    #[test]
+    fn writer_omits_the_trace_shape_keys_at_their_defaults() {
+        let text = two_tenant_scenario().to_pretty();
+        assert!(!text.contains("priority_levels"), "{text}");
+        assert!(!text.contains("context_scale"), "{text}");
+        let scaled = tenant_spec(r#", "priority_levels": 2, "context_scale": 0.5"#).unwrap();
+        let tenant = scaled.to_json();
+        let tenant = &tenant.get("workload").unwrap().as_arr().unwrap()[0];
+        assert_eq!(tenant.get("priority_levels").unwrap().as_f64(), Some(2.0));
+        assert_eq!(tenant.get("context_scale").unwrap().as_f64(), Some(0.5));
+    }
+
+    #[test]
+    fn conflicting_or_empty_priority_levels_are_rejected() {
+        let err = tenant_spec(r#", "priority_levels": 0"#).unwrap_err();
+        assert_eq!(err, "workload[0] (t): priority_levels must be >= 1");
+        let err = tenant_spec(r#", "priority_levels": 2, "priority": 1"#).unwrap_err();
+        assert!(
+            err.contains("priority_levels 2 draws each request's priority")
+                && err.contains("priority must be 0, got 1"),
+            "{err}"
+        );
+        // One level keeps the fixed class.
+        let fixed = tenant_spec(r#", "priority_levels": 1, "priority": 1"#).unwrap();
+        assert!(trace_of(&fixed).iter().all(|r| r.priority == 1));
+    }
+
+    #[test]
+    fn scaled_context_max_is_capped_by_the_window_and_decode_budget() {
+        let s = tenant_spec(r#", "context_scale": 1.5"#).unwrap();
+        let qmsum = Dataset::QmSum.stats();
+        let stats = s.workload[0].context_stats(32 * 1024);
+        assert_eq!(stats.mean, qmsum.mean * 1.5);
+        assert_eq!(stats.std, qmsum.std * 1.5);
+        assert_eq!(stats.min, (qmsum.min as f64 * 1.5) as u64);
+        // 1.5 × 30456 = 45684 would not fit: the max leaves room for
+        // the largest decode budget (96 tokens).
+        assert_eq!(stats.max, 32 * 1024 - 96);
+        let trace = trace_of(&s);
+        assert_eq!(
+            trace,
+            TraceBuilder::from_stats(stats)
+                .seed(7)
+                .requests(48)
+                .decode_range(16, 96)
+                .bursty(2.0, 2.5)
+                .build()
+        );
+        assert!(trace.iter().all(|r| r.final_len() <= 32 * 1024));
+        // At scale 1 the dataset's own max already fits: no cap.
+        let unscaled = tenant_spec("").unwrap().workload[0].context_stats(32 * 1024);
+        assert_eq!(unscaled, qmsum);
+    }
+
+    #[test]
+    fn context_scale_must_be_positive_finite_and_fit_the_window() {
+        for bad in ["0", "-0.5"] {
+            let err = tenant_spec(&format!(r#", "context_scale": {bad}"#)).unwrap_err();
+            assert_eq!(
+                err, "workload[0] (t): context_scale must be positive and finite",
+                "{bad}"
+            );
+        }
+        let mut s = tenant_spec("").unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            s.workload[0].context_scale = bad;
+            let err = s.validate().unwrap_err();
+            assert!(
+                err.contains("context_scale must be positive and finite"),
+                "{err}"
+            );
+        }
+        // 20 × QMSum's 2651-token minimum cannot fit 32K tokens.
+        let err = tenant_spec(r#", "context_scale": 20"#).unwrap_err();
+        assert!(err.contains("shortest prompt at 53020 tokens"), "{err}");
+    }
+
+    #[test]
+    fn a_flat_replica_larger_than_its_node_is_rejected() {
+        // LLM-7B-32K's CENT node has 8 modules.
+        let parse = |cluster: &str| {
+            Scenario::parse(&format!(
+                r#"{{"model": "LLM-7B-32K", "cluster": {{{cluster}}},
+                    "workload": [{{"name": "t", "dataset": "QMSum"}}]}}"#
+            ))
+        };
+        for (cluster, replica, modules) in [
+            (r#""tp": 16"#, 16, 8),
+            (r#""tp": 4, "pp": 4"#, 16, 8),
+            (r#""tp": 4, "modules": 2"#, 4, 2),
+            // No u32 overflow on the way to the error.
+            (r#""tp": 65536, "pp": 65536"#, 1u64 << 32, 8),
+        ] {
+            let err = parse(cluster).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "cluster: one replica (tp × pp = {replica} modules) does not fit \
+                     the node's {modules} modules"
+                ),
+                "{cluster}"
+            );
+        }
+        for ok in [
+            r#""tp": 8"#,
+            r#""tp": 2, "pp": 4"#,
+            r#""tp": 16, "modules": 32"#,
+        ] {
+            parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+        // Pools size themselves; the flat keys are ignored.
+        let pooled = parse(r#""tp": 16, "pools": [{"name": "p"}]"#);
+        assert!(pooled.is_ok(), "{pooled:?}");
     }
 }

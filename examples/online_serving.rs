@@ -9,12 +9,11 @@
 
 use pimphony::system::{RouterKind, SchedulingPolicy, ServingReport, Techniques};
 use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec};
-use pimphony::{Orchestrator, Scenario, TenantSpec};
+use pimphony::{Scenario, TenantSpec};
 
 /// Serves the trace `spec` describes.
 fn serve(spec: &Scenario) -> Result<ServingReport, String> {
-    let (orchestrator, trace) = Orchestrator::from_scenario(spec)?;
-    Ok(orchestrator.serve(&trace))
+    Ok(spec.materialize()?.run())
 }
 
 fn main() -> Result<(), String> {

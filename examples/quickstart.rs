@@ -5,7 +5,7 @@
 
 use pimphony::system::Techniques;
 use pimphony::workload::{Dataset, DecodeSpec};
-use pimphony::{Orchestrator, Scenario, TenantSpec};
+use pimphony::{Scenario, TenantSpec};
 
 fn main() -> Result<(), String> {
     // A QMSum-like workload: 32 requests, 64 generated tokens each, on
@@ -19,15 +19,14 @@ fn main() -> Result<(), String> {
     let mut baseline = phony.clone();
     baseline.techniques = Techniques::baseline();
 
-    let (orchestrator, trace) = Orchestrator::from_scenario(&phony)?;
+    let phony = phony.materialize()?;
     println!(
         "workload: {} requests, mean context {:.0} tokens",
-        trace.len(),
-        trace.mean_context()
+        phony.trace.len(),
+        phony.trace.mean_context()
     );
-    let rp = orchestrator.serve(&trace);
-    let (orchestrator, trace) = Orchestrator::from_scenario(&baseline)?;
-    let rb = orchestrator.serve(&trace);
+    let rp = phony.run();
+    let rb = baseline.materialize()?.run();
     println!(
         "\n{:<12} {:>12} {:>10} {:>10}",
         "config", "tokens/s", "MAC util", "capacity"

@@ -5,7 +5,7 @@ use pimphony::llm_model::{LLM_72B_128K_GQA, LLM_7B_128K_GQA, LLM_7B_32K};
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{Evaluator, GpuSystem, SystemConfig, Techniques};
 use pimphony::workload::{Dataset, DecodeSpec, TraceBuilder};
-use pimphony::{Orchestrator, Scenario, TenantSpec};
+use pimphony::{Scenario, TenantSpec};
 
 fn trace(d: Dataset, n: usize) -> pimphony::workload::Trace {
     TraceBuilder::new(d)
@@ -92,7 +92,7 @@ fn every_factorization_serves_all_tokens() {
 }
 
 #[test]
-fn orchestrator_matches_raw_evaluator() {
+fn scenario_matches_raw_evaluator() {
     let t = trace(Dataset::QmSum, 6);
     let spec = Scenario::new(LLM_7B_32K.name).tenant(
         TenantSpec::new("qmsum", Dataset::QmSum)
@@ -100,14 +100,14 @@ fn orchestrator_matches_raw_evaluator() {
             .requests(6)
             .decode(DecodeSpec::Fixed(16)),
     );
-    let (o, spec_trace) = Orchestrator::from_scenario(&spec).expect("materialize");
-    assert_eq!(spec_trace.requests(), t.requests(), "same trace either way");
+    let m = spec.materialize().expect("materialize");
+    assert_eq!(m.trace.requests(), t.requests(), "same trace either way");
     let e = Evaluator::new(
         SystemConfig::cent_for(&LLM_7B_32K),
         LLM_7B_32K,
         Techniques::pimphony(),
     );
-    let a = o.serve(&t);
+    let a = m.serve(&t);
     let b = e.run_trace(&t);
     assert_eq!(a, b);
 }

@@ -2,10 +2,10 @@
 //! `scenarios/**/*.json` is canonical (byte-identical to its own
 //! re-serialization) and produces the same `ServingReport` through each
 //! public entry point — `Materialized::run` at 1 and 2 threads and
-//! `Orchestrator::from_scenario(..).serve(&trace)` — pools, router
-//! calibration and all.
+//! `Materialized::serve` of that trace through a fresh materialization
+//! at the spec's own thread count — pools, router calibration and all.
 
-use pimphony::{Orchestrator, Scenario};
+use pimphony::Scenario;
 use std::path::{Path, PathBuf};
 
 /// `sim_speed --tiny`'s request divisor, applied to the perf specs.
@@ -73,11 +73,11 @@ fn every_spec_reports_identically_through_every_entry_point() {
             sequential,
             "{name}: Materialized::run at 2 threads"
         );
-        let (orchestrator, trace) = Orchestrator::from_scenario(&spec).expect("materialize");
+        let fresh = spec.materialize().expect("materialize");
         assert_eq!(
-            orchestrator.serve(&trace),
+            fresh.serve(&m.trace),
             sequential,
-            "{name}: Orchestrator::serve"
+            "{name}: Materialized::serve"
         );
     }
 }

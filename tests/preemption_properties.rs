@@ -27,7 +27,7 @@ fn base_eval() -> Evaluator {
     Evaluator::new(sys, pimphony::llm_model::LLM_7B_32K, Techniques::pimphony())
 }
 
-/// The `preemption_sweep` configuration: chunked prefill, scaled KV
+/// The `preemption_sweep` study's configuration: chunked prefill, scaled KV
 /// pool, one of the preemption policies.
 fn pressure_eval(policy: PreemptionPolicy, factor: f64) -> Evaluator {
     base_eval().with_policies(PolicySpec {
@@ -39,7 +39,7 @@ fn pressure_eval(policy: PreemptionPolicy, factor: f64) -> Evaluator {
 }
 
 /// The seeded two-class bursty trace of the `preemption_sweep`
-/// experiment: interactive (1) vs batch (0) traffic at 0.8× the
+/// study: interactive (1) vs batch (0) traffic at 0.8× the
 /// full-capacity prefill-inclusive anchor rate.
 fn priority_trace() -> Trace {
     let eval = pressure_eval(PreemptionPolicy::None, 1.0);
@@ -354,7 +354,7 @@ fn indexed_queues_match_linear_scan_reference_on_randomized_traces() {
 /// measured ≈−33% at this configuration; the 15% floor leaves room for
 /// cross-platform libm drift in the trace generator only. The price is
 /// wasted prompt work and a worse batch-class tail, which the sweep
-/// (`bench --bin preemption_sweep`) quantifies.
+/// (`studies/preemption_sweep.json`) quantifies.
 #[test]
 fn eviction_improves_high_priority_p99_ttft_under_pressure() {
     let trace = priority_trace();
