@@ -76,8 +76,8 @@ pub fn push_row_field(row: &mut Json, key: &str, value: Json) {
 /// standard `{"bench": ..., "rows": [...]}` document if `--json` was
 /// passed, and discarded otherwise — so instrumenting a binary costs
 /// nothing when the flag is absent. Scalar rows carry only
-/// `name`/`value` keys; the regression gate ignores them unless they
-/// are added to the snapshot.
+/// `name`/`value` keys; CI pins every paper binary's rows in
+/// `BENCH_serving.json`, and the regression gate compares each exactly.
 pub struct MetricSink {
     bench: &'static str,
     path: Option<String>,

@@ -1,13 +1,12 @@
 //! Offline no-op stand-in for `serde`.
 //!
 //! The build environment cannot reach crates.io, and nothing in this
-//! repository actually serializes (there is no `serde_json` or similar
-//! consumer) — the derives exist so downstream users of the library can
-//! plug in real serde later. This shim keeps every `#[derive(Serialize,
-//! Deserialize)]` and trait bound compiling: the traits are markers with
-//! blanket impls, and the derive macros expand to nothing. Swapping the
-//! workspace `[patch]`-style path deps back to upstream serde requires no
-//! source change.
+//! repository serializes through serde: every machine-readable file is
+//! written by the `jsonio` crate, and no workspace type derives or
+//! bounds on these traits. The shim stays because the simulator crates
+//! (and the `pimbench` lockfile, which pins their dependency graph)
+//! still declare `serde` as a dependency. The traits are markers with
+//! blanket impls and the derive macros expand to nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,10 +2,9 @@
 //! trajectory files (`BENCH_*.json`) and the declarative scenario spec
 //! (`system::scenario`, `scenarios/*.json`).
 //!
-//! The offline serde compat shim (`crates/compat/serde`) keeps derives
-//! compiling but intentionally serializes nothing, so every machine-
-//! readable artifact in this workspace is produced by this explicit,
-//! dependency-free layer instead: a [`Json`] tree, a deterministic
+//! The offline serde compat shim (`crates/compat/serde`) serializes
+//! nothing, so every machine-readable artifact in this workspace is
+//! produced by this explicit, dependency-free layer instead: a [`Json`] tree, a deterministic
 //! pretty-printer (object keys keep insertion order; floats print in
 //! Rust's shortest-round-trip form, so equal values always produce
 //! equal bytes), and a small recursive-descent parser. The crate sits

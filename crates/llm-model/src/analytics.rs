@@ -1,10 +1,9 @@
 //! Decode-phase compute/memory analytics (paper Fig. 2).
 
 use crate::config::ModelConfig;
-use serde::Serialize;
 
 /// Per-decode-step FLOPs, bytes, and footprint analytics for one model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodeAnalytics {
     model: ModelConfig,
 }

@@ -1,13 +1,11 @@
 //! Model configurations (paper Table I).
 
-use serde::Serialize;
-
 /// A decoder-only transformer configuration.
 ///
 /// Field names follow Table I: `nl` layers, `nh` attention heads of
 /// dimension `dh`, FC dimensions `d_in`/`d_out` (hidden and FFN widths),
 /// optional GQA with group size `g`, and the advertised context window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Human-readable name.
     pub name: &'static str,

@@ -6,14 +6,13 @@
 //! minimal compared to MLIR.
 
 use llm_model::ModelConfig;
-use serde::Serialize;
 
 /// Index of an op within its graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u32);
 
 /// Operation kinds appearing in decoder-layer graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Dense projection / FC layer: `out[dout] = W[dout×din]·x`.
     Gemv {
@@ -64,7 +63,7 @@ impl OpKind {
 }
 
 /// One operation with its dataflow inputs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Op {
     /// The op's id.
     pub id: OpId,
@@ -77,7 +76,7 @@ pub struct Op {
 }
 
 /// A dataflow graph for one (or more) decoder layers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecoderGraph {
     ops: Vec<Op>,
 }

@@ -11,10 +11,9 @@
 use pim_isa::dpa::{DpaInstruction, DpaProgram, DynLoop, DynModi, LoopBound, OperandField};
 use pim_isa::size_model::{DYN_LOOP_BYTES, DYN_MODI_BYTES, PLAIN_INSTRUCTION_BYTES};
 use pim_isa::{ChannelMask, PimInstruction};
-use serde::Serialize;
 
 /// Shape of one channel's attention kernel for lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttentionLowering {
     /// Channels the instruction stream is multicast to.
     pub channels: u8,
@@ -49,7 +48,7 @@ impl AttentionLowering {
 }
 
 /// Byte footprint of a lowered kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweredFootprint {
     /// Stored instruction bytes.
     pub bytes: u64,
@@ -229,7 +228,7 @@ pub fn lower_sv_dpa(shape: &AttentionLowering) -> DpaProgram {
 /// DPA programs for every PIM-amenable kernel of a decoder layer: one
 /// `QKᵀ` and one `SV` program per KV-head instance (context-dependent),
 /// plus statically compiled FC GEMVs (context-independent).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CompiledLayer {
     /// The dynamic QKT program.
     pub qkt: DpaProgram,

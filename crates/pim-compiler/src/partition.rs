@@ -9,10 +9,8 @@
 //! axis across *all* channels of the module, so channel activity is
 //! decoupled from batch size and request-length skew (Fig. 6(d,e)).
 
-use serde::Serialize;
-
 /// Which intra-module partitioning scheme to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Partitioning {
     /// Conventional head/batch-first placement.
     HeadFirst,
@@ -37,7 +35,7 @@ impl std::fmt::Display for Partitioning {
 }
 
 /// Multi-module parallelization setting (paper §II-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Tensor-parallel ways (heads sharded across modules).
     pub tp: u32,
@@ -80,7 +78,7 @@ impl std::fmt::Display for ParallelConfig {
 
 /// A contiguous token range of one (request, KV-head) pair assigned to a
 /// channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestSlice {
     /// Request id.
     pub request: u64,
@@ -100,7 +98,7 @@ impl RequestSlice {
 }
 
 /// One channel's assigned work.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChannelWork {
     /// Assigned slices.
     pub slices: Vec<RequestSlice>,
@@ -114,7 +112,7 @@ impl ChannelWork {
 }
 
 /// The full per-channel assignment for one module's attention stage.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModulePartition {
     scheme: Partitioning,
     channels: Vec<ChannelWork>,

@@ -5,10 +5,9 @@
 //! hand them to the PIM lowering pipeline.
 
 use crate::ir::{DecoderGraph, OpId, OpKind};
-use serde::Serialize;
 
 /// A matched attention subgraph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttentionMatch {
     /// The `QKᵀ` op.
     pub qkt: OpId,
@@ -25,7 +24,7 @@ pub struct AttentionMatch {
 }
 
 /// A matched FC kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FcMatch {
     /// The GEMV op.
     pub op: OpId,

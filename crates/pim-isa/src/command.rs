@@ -5,7 +5,6 @@
 //! controller schedules; the Dynamic Command Scheduler in `pim-sim` attaches
 //! dependency IDs to them (paper Fig. 7(c)).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a command within one channel's stream.
@@ -13,7 +12,7 @@ use std::fmt;
 /// The DCS Dependency Table records, for each buffer entry, the ID of the
 /// most recent command touching it; a later command's *Dependency ID* (DID)
 /// points back at that command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CommandId(pub u32);
 
 impl fmt::Display for CommandId {
@@ -23,7 +22,7 @@ impl fmt::Display for CommandId {
 }
 
 /// The operation a channel-level command performs, with resolved addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Write one 32 B input tile from the HUB into GBuf entry `gbuf_idx`.
     WrInp {
@@ -81,7 +80,7 @@ impl CommandKind {
 }
 
 /// A fully decoded channel-level command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PimCommand {
     /// Stream-unique identifier (assigned in program order).
     pub id: CommandId,
@@ -147,7 +146,7 @@ impl fmt::Display for PimCommand {
 ///
 /// Invariant: command IDs are strictly increasing (checked in debug builds
 /// by [`CommandStream::push`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommandStream {
     commands: Vec<PimCommand>,
 }

@@ -15,10 +15,9 @@
 //! virtual rows (translation happens in `pim-mem`'s dispatcher).
 
 use crate::instruction::PimInstruction;
-use serde::{Deserialize, Serialize};
 
 /// How a [`DynLoop`] derives its repetition count at decode time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopBound {
     /// A compile-time fixed count (layers, heads, ...).
     Fixed(u32),
@@ -47,7 +46,7 @@ impl LoopBound {
 }
 
 /// Which operand field of a body instruction a [`DynModi`] adjusts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperandField {
     /// The DRAM row address (virtual; translated by the dispatcher).
     Row,
@@ -62,7 +61,7 @@ pub enum OperandField {
 }
 
 /// A per-iteration operand modification inside a [`DynLoop`] body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DynModi {
     /// Index of the instruction within the loop body this modifier targets.
     pub target: u16,
@@ -128,7 +127,7 @@ impl DynModi {
 }
 
 /// A loop whose bound is resolved at decode time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynLoop {
     /// Repetition count source.
     pub bound: LoopBound,
@@ -139,7 +138,7 @@ pub struct DynLoop {
 }
 
 /// One element of a DPA-encoded instruction stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DpaInstruction {
     /// An ordinary instruction, emitted verbatim.
     Plain(PimInstruction),
@@ -167,7 +166,7 @@ pub enum DpaInstruction {
 /// assert_eq!(expanded.len(), 4);
 /// assert_eq!(expanded[3].row, 3);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DpaProgram {
     instructions: Vec<DpaInstruction>,
 }

@@ -1,6 +1,5 @@
 //! Host-visible PIM instructions (paper Table III).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bitmask selecting which PIM channels an instruction targets.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert!(mask.contains(0) && mask.contains(2) && !mask.contains(3));
 /// assert_eq!(mask.count(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChannelMask(u32);
 
 impl ChannelMask {
@@ -83,7 +82,7 @@ impl fmt::Display for ChannelMask {
 }
 
 /// The primitive operation an instruction performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstructionKind {
     /// Copy input tiles from the GPR to the Global Buffer.
     WrInp,
@@ -110,7 +109,7 @@ impl fmt::Display for InstructionKind {
 /// each repetition advances the relevant addresses (GPR address, GBuf index,
 /// column, or output index) by one unit so the expanded commands access
 /// consecutive locations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PimInstruction {
     /// Target channels.
     pub ch_mask: ChannelMask,

@@ -5,8 +5,6 @@
 //! buffer pressure at long context. DPA's loop encoding keeps the stored
 //! stream nearly constant. This module quantifies both.
 
-use serde::{Deserialize, Serialize};
-
 /// Encoded size of one plain PIM instruction, in bytes.
 ///
 /// Table III's argument set (ch-mask 4 B, op-size 2 B, opcode 1 B, address
@@ -20,7 +18,7 @@ pub const DYN_LOOP_BYTES: u64 = 8;
 pub const DYN_MODI_BYTES: u64 = 8;
 
 /// Shape of one attention kernel for the size model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttentionShape {
     /// Per-head feature dimension (d_h).
     pub head_dim: u32,

@@ -7,18 +7,17 @@
 //! partially filled chunk of each request.
 
 use crate::{MemError, RequestId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Default chunk size: 1 MB (paper §VI-C).
 pub const DEFAULT_CHUNK_BYTES: u64 = 1 << 20;
 
 /// Identifier of a physical chunk within one module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub u64);
 
 /// A free-list chunk allocator over one PIM module's capacity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChunkAllocator {
     chunk_bytes: u64,
     total_chunks: u64,
@@ -28,7 +27,7 @@ pub struct ChunkAllocator {
     requests: BTreeMap<u64, Owned>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Owned {
     chunks: Vec<ChunkId>,
     used_bytes: u64,

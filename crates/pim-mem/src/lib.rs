@@ -31,11 +31,9 @@ pub use page::{Admission, PagePool, PrefixHit, Released};
 pub use static_alloc::StaticAllocator;
 pub use va2pa::Va2PaTable;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an inference request, as carried in the dispatcher's
 /// configuration buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {

@@ -7,11 +7,10 @@
 //! down to ~31–40% (paper Fig. 19).
 
 use crate::{MemError, RequestId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A static, `T_max`-reservation allocator for one PIM module.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StaticAllocator {
     capacity_bytes: u64,
     reservation_bytes: u64,

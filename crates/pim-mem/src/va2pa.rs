@@ -6,10 +6,9 @@
 //! non-contiguous, dynamically allocated physical placement.
 
 use crate::chunk::ChunkId;
-use serde::{Deserialize, Serialize};
 
 /// A single request's virtual→physical chunk map.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Va2PaTable {
     /// `map[vc]` is the physical chunk backing virtual chunk `vc`.
     map: Vec<Option<ChunkId>>,

@@ -7,8 +7,6 @@
 //! the EPU also performs the inter-channel reduction of `SV` partial sums
 //! gathered in the GPR (paper §IV-C).
 
-use serde::Serialize;
-
 /// A piecewise-linear look-up table approximating `f` over `[lo, hi]`.
 ///
 /// # Example
@@ -18,7 +16,7 @@ use serde::Serialize;
 /// let lut = LutTable::tabulate(|x| x.exp(), -8.0, 0.0, 256);
 /// assert!((lut.approximate(-1.0) - (-1.0f32).exp()).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LutTable {
     lo: f32,
     hi: f32,
@@ -56,7 +54,7 @@ impl LutTable {
 }
 
 /// EPU timing parameters (elements processed per cycle).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EpuConfig {
     /// Softmax elements per cycle (vector lanes in the EPU).
     pub softmax_lanes: u32,

@@ -1,9 +1,7 @@
 //! Physical geometry of one PIM channel.
 
-use serde::{Deserialize, Serialize};
-
 /// Static shape parameters of a PIM channel (paper §II-B, §V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Banks per channel, each with a 16-lane MAC unit.
     pub banks: u32,

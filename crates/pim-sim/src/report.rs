@@ -1,10 +1,9 @@
 //! Execution schedules and latency/energy breakdown reports.
 
 use pim_isa::CommandId;
-use serde::{Deserialize, Serialize};
 
 /// Per-command issue and completion times produced by a scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandTiming {
     /// Command identity (mirrors the stream).
     pub id: CommandId,
@@ -15,7 +14,7 @@ pub struct CommandTiming {
 }
 
 /// Stall attribution categories (paper Fig. 8's stacked bars).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Breakdown {
     /// Cycles the MAC pipeline was usefully busy (`n_mac * t_CCDS`).
     pub mac: u64,
@@ -39,7 +38,7 @@ impl Breakdown {
 }
 
 /// Result of scheduling one command stream on one channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Per-command timings, in program order.
     pub timings: Vec<CommandTiming>,

@@ -28,10 +28,9 @@ use crate::geometry::Geometry;
 use crate::report::ExecutionReport;
 use crate::timing::Timing;
 use pim_isa::command::CommandStream;
-use serde::{Deserialize, Serialize};
 
 /// Which controller scheduling policy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Conservative in-order issue with type-derived gaps.
     Static,

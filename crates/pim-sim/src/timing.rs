@@ -6,10 +6,8 @@
 //! (stalls, overlap, utilization), which is governed by the ratios between
 //! these constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing constants for one PIM channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timing {
     /// Minimum command-to-command issue interval on the command/data bus
     /// (`t_CCDS` in the paper's Fig. 7).

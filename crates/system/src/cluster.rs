@@ -40,7 +40,6 @@ use crate::policy::{PoolRole, SchedulingPolicy};
 use crate::replica::{HandoffOut, ReplicaSim, SimEvent};
 use crate::serve::{Evaluator, ServingReport, TtftPredictor};
 use crate::stage::IterationBreakdown;
-use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use workload::{Request, Trace};
@@ -294,7 +293,7 @@ impl Router for SloAware {
 }
 
 /// Config-level selector for the built-in routers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RouterKind {
     /// [`RoundRobin`].
     #[default]

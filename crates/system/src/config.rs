@@ -2,11 +2,10 @@
 
 use llm_model::ModelConfig;
 use pim_compiler::ParallelConfig;
-use serde::Serialize;
 
 /// Node organization: PIM-only (CENT-like) or heterogeneous xPU+PIM
 /// (NeuPIMs-like), per paper Fig. 3(b,c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// CENT-like: all computation on PIM; a small PNM core handles
     /// non-GEMV work.
@@ -38,7 +37,7 @@ impl SystemKind {
 }
 
 /// One PIM module's resources (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModuleConfig {
     /// PIM channels per module.
     pub channels: u32,
@@ -88,7 +87,7 @@ impl ModuleConfig {
 }
 
 /// A full multi-module system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Node organization.
     pub kind: SystemKind,
@@ -143,7 +142,7 @@ impl SystemConfig {
 }
 
 /// Which PIMphony techniques are enabled (the Figs. 13/14 increments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Techniques {
     /// Token-Centric PIM Partitioning (§IV).
     pub tcp: bool,

@@ -8,10 +8,9 @@
 
 use crate::kernel::KernelStats;
 use crate::stage::IterationBreakdown;
-use serde::Serialize;
 
 /// Per-event and per-time energy constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per `MAC` command (one 16-lane dot product in 16 banks), nJ.
     pub mac_nj: f64,
@@ -49,7 +48,7 @@ impl Default for EnergyModel {
 }
 
 /// Accumulated energy in joules, decomposed per Fig. 16.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// MAC compute energy.
     pub mac: f64,

@@ -7,11 +7,10 @@
 //! under comparison (two A100-80GB for 7B, eight for 72B).
 
 use llm_model::ModelConfig;
-use serde::Serialize;
 use workload::Trace;
 
 /// A multi-GPU system description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSystem {
     /// Number of GPUs (tensor-parallel).
     pub gpus: u32,

@@ -10,11 +10,10 @@
 use parking_lot::Mutex;
 use pim_sim::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel};
 use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Scalar statistics of one kernel execution, extrapolatable in tokens.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelStats {
     /// Total cycles.
     pub cycles: f64,

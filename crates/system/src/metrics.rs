@@ -23,7 +23,6 @@
 //! counts requests that emitted at least one token.
 
 use crate::policy::PoolRole;
-use serde::Serialize;
 
 /// Timestamps of one request's path through a replica, in seconds of the
 /// replica's virtual clock (trace epoch = 0).
@@ -103,7 +102,7 @@ impl RequestTiming {
 }
 
 /// Distribution summary of one latency metric, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Arithmetic mean.
     pub mean: f64,
@@ -155,7 +154,7 @@ impl LatencySummary {
 /// Per-replica serving totals, populated by the cluster layer so
 /// load-balancer skew is observable in the serving report
 /// (`crate::ServingReport::per_replica`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplicaBreakdown {
     /// Requests the router dispatched to this replica.
     pub routed: u64,
@@ -184,7 +183,7 @@ pub struct ReplicaBreakdown {
 /// historical reports stay byte-identical). A prefill pool's `served`
 /// counts requests it *handed off* — the request finishes, and is
 /// counted again, in the decode pool that ran its token generation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolBreakdown {
     /// The pool's name from the scenario spec.
     pub name: String,
@@ -236,7 +235,7 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 ///
 /// Units and the full TTFT decomposition are documented in
 /// `docs/metrics.md`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyReport {
     /// Requests that finished with at least one emitted token.
     pub completed: u64,
@@ -349,7 +348,7 @@ impl LatencyReport {
 
 /// Latency statistics of one priority class (see
 /// [`LatencyReport::by_priority`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PriorityLatency {
     /// The class's priority value (higher is more urgent).
     pub priority: u8,
@@ -361,7 +360,7 @@ pub struct PriorityLatency {
 /// delivered tokens, and — when the tenant carries an SLO target —
 /// attainment against it (see [`LatencyReport::by_tenant`]; field
 /// glossary in `docs/metrics.md`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantLatency {
     /// The tenant id ([`workload::Request::tenant`]).
     pub tenant: u8,

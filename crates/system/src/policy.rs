@@ -18,11 +18,10 @@
 
 use crate::cluster::RouterKind;
 use crate::serve::Evaluator;
-use serde::Serialize;
 use workload::Request;
 
 /// Which batch-scheduling policy the engine runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SchedulingPolicy {
     /// Closed-world wave serving (paper-figure fidelity).
     #[default]
@@ -66,7 +65,7 @@ impl std::fmt::Display for SchedulingPolicy {
 ///
 /// The wave policy is closed-world (admitted waves always run to
 /// completion) and ignores this knob entirely.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PreemptionPolicy {
     /// Never evict: an admitted request holds its KV reservation until
     /// completion (the historical behavior; head-of-line blocking under
@@ -132,7 +131,7 @@ impl std::fmt::Display for PreemptionPolicy {
 ///
 /// Requests whose tenant has no TTFT SLO are never shed, and the wave
 /// policy (closed-world, no deadlines) ignores this knob entirely.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SheddingPolicy {
     /// Never shed: all arrivals are eventually admitted (historical
     /// behavior).
@@ -172,7 +171,7 @@ impl std::fmt::Display for SheddingPolicy {
 /// Preemption always takes strictly-lower-priority victims, lowest
 /// class first (the no-thrash strict-descent invariant); this knob only
 /// chooses which member of the chosen class goes first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum VictimOrder {
     /// Most recently (re-)admitted first — the least decode progress is
     /// lost (historical behavior).
@@ -217,7 +216,7 @@ impl std::fmt::Display for VictimOrder {
 /// credited and only generates tokens. A role is a property of the
 /// *evaluator* (see `Evaluator::with_pool_role`), so pools with
 /// different hardware carry different roles naturally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PoolRole {
     /// Full-lifecycle replicas (the historical colocated default).
     #[default]
@@ -274,7 +273,7 @@ impl std::fmt::Display for PoolRole {
 /// The defaults model an NVLink-class link (64 GB/s, 20 µs per page)
 /// and only matter when a scenario arms prefill/decode pools — a
 /// mixed-only cluster never prices a transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvTransferConfig {
     /// Fixed setup latency per transferred KV page, in microseconds.
     pub page_latency_us: f64,
@@ -319,7 +318,7 @@ impl Default for KvTransferConfig {
 ///   at admission and interleaves prompt chunks with decode steps of the
 ///   running batch, so running decodes are not starved behind long
 ///   prompts (at a bounded per-chunk TPOT cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrefillConfig {
     /// Whether prompt processing is simulated at all.
     pub enabled: bool,
@@ -368,7 +367,7 @@ impl Default for PrefillConfig {
 /// drops by the shared prefill cost), released shared pages stay warm as
 /// reclaimable cache, and memory pressure reclaims cold pages LRU-first
 /// before falling back to whole-request eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PagedKvConfig {
     /// Whether the paged KV pool (and with it prefix caching) is on.
     pub prefix_caching: bool,

@@ -17,7 +17,6 @@ use crate::policy::{self, KvTransferConfig, PolicySpec, PoolRole, SchedulingPoli
 use crate::stage::{IterationBreakdown, StageModel};
 use llm_model::ModelConfig;
 use pim_mem::DEFAULT_CHUNK_BYTES;
-use serde::Serialize;
 use workload::Trace;
 
 /// Result of serving a trace.
@@ -25,7 +24,7 @@ use workload::Trace;
 /// The repository's metrics glossary — every field below with its
 /// unit, the TTFT decomposition, and the goodput-vs-throughput
 /// distinction — lives in `docs/metrics.md`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingReport {
     /// Decode throughput in tokens/second (all replicas).
     pub tokens_per_second: f64,

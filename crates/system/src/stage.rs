@@ -12,10 +12,9 @@ use crate::kernel::{AttentionKind, KernelModel, KernelStats};
 use llm_model::ModelConfig;
 use pim_compiler::{ModulePartition, Partitioning};
 use pim_sim::SchedulerKind;
-use serde::Serialize;
 
 /// Latency and activity of one attention stage execution on one module.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AttentionStage {
     /// Module makespan in cycles (slowest channel).
     pub cycles: f64,
@@ -28,7 +27,7 @@ pub struct AttentionStage {
 }
 
 /// One decode iteration's latency breakdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationBreakdown {
     /// Wall-clock seconds for the iteration.
     pub seconds: f64,

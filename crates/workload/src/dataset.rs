@@ -1,9 +1,7 @@
 //! Benchmark dataset statistics (paper Table II).
 
-use serde::{Deserialize, Serialize};
-
 /// Input context-length statistics of one benchmark task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetStats {
     /// Task name.
     pub name: &'static str,
@@ -20,7 +18,7 @@ pub struct DatasetStats {
 }
 
 /// The four evaluation tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// LongBench QMSum (meeting summarization).
     QmSum,

@@ -17,10 +17,9 @@
 use crate::dataset::{Dataset, DatasetStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One inference request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Stable identifier within its trace.
     pub id: u64,
@@ -76,7 +75,7 @@ impl Request {
 }
 
 /// An ordered set of requests presented to the serving system.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     requests: Vec<Request>,
 }
@@ -229,7 +228,7 @@ impl FromIterator<Request> for Trace {
 }
 
 /// The request arrival-time process of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Closed world: every request is available at time zero (the paper's
     /// wave-serving evaluation).
@@ -280,7 +279,7 @@ impl ArrivalProcess {
 /// `Fixed` draws nothing from the RNG; `Uniform` draws one value per
 /// request (even when `lo == hi`), so the two are *not* interchangeable
 /// on seeded traces — scenario specs must preserve which one they mean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeSpec {
     /// Every request decodes exactly this many tokens.
     Fixed(u64),
